@@ -11,9 +11,7 @@ comparison report quantifies exactly that failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     EmptyCoalitionError,
@@ -21,34 +19,65 @@ from .errors import (
     RhoOutOfRangeError,
     ZeroMaxShapleyError,
 )
-from .games import Game, Scalar, members, submasks
+from .games import Game, Scalar, members
 from .solver import RewardMatrix, solve
+
+
+def _potential(values: Sequence[Scalar], coalition: int) -> dict[int, Scalar]:
+    """Hart–Mas-Colell potential on every subset of one coalition.
+
+    ``Q(∅) = 0`` and ``Q(C) = (v(C) + Σ_{i∈C} Q(C∖i)) / |C|``, filled in
+    ascending mask order so each ``Q(C∖i)`` is ready before ``Q(C)``. The
+    Shapley value of member i in the subgame on C is ``Q(C) − Q(C∖i)``
+    (Hart & Mas-Colell, "Potential, Value, and Consistency", Econometrica
+    57(3), 1989), so one pass gives every subgame's values.
+    """
+    q = {0: values[0]}
+    sub = coalition & -coalition
+    while sub:
+        total = values[sub]
+        rest = sub
+        while rest:
+            low = rest & -rest
+            total += q[sub ^ low]
+            rest ^= low
+        q[sub] = total / sub.bit_count()
+        sub = (sub - coalition) & coalition  # next submask, ascending
+    return q
+
+
+def _shapley_from_potential(q: dict[int, Scalar], coalition: int) -> dict[int, Scalar]:
+    # A monotone game's Shapley values are never negative, but in float
+    # mode the difference of two potentials can round just below zero, and
+    # a negative value raised to a fractional exponent is complex.
+    top, zero = q[coalition], q[0]
+    return {i: max(top - q[coalition ^ (1 << i)], zero) for i in members(coalition)}
 
 
 def shapley(game: Game, coalition: int) -> dict[int, Scalar]:
     """Shapley values of the subgame restricted to one coalition.
 
-    Uses the subset-weight formula: member i's value sums
-    ``|S|! (c-1-|S|)! / c!`` times i's marginal contribution over all
-    subsets S of the coalition that exclude i. Exact in rational mode.
-    The members' values always sum to the coalition's value.
+    Computed from the Hart–Mas-Colell potential over the coalition's
+    subsets, in O(c·2^c) for a coalition of c members. Exact in rational
+    mode; in float mode a value that rounds below zero is clamped to 0.0.
+    The members' values always sum to the coalition's value (up to
+    rounding in float mode).
     """
     if not 0 <= coalition < game.num_coalitions:
         raise OutOfRangeError(f"coalition mask {coalition} out of range")
     if coalition == 0:
         raise EmptyCoalitionError("Shapley values need a non-empty coalition")
-    v = game.values
-    mem = members(coalition)
-    c = len(mem)
-    weights = [Fraction(factorial(s) * factorial(c - 1 - s), factorial(c)) for s in range(c)]
-    out: dict[int, Scalar] = {}
-    for i in mem:
-        bit = 1 << i
-        total: Scalar = 0
-        for sub in submasks(coalition ^ bit):
-            total += weights[sub.bit_count()] * (v[sub | bit] - v[sub])
-        out[i] = total
-    return out
+    return _shapley_from_potential(_potential(game.values, coalition), coalition)
+
+
+def shapley_table(game: Game) -> dict[int, dict[int, Scalar]]:
+    """Shapley values of every subgame, keyed by non-empty coalition mask.
+
+    One potential over the grand coalition serves all 2^n - 1 subgames, so
+    the whole table costs O(n·2^n); each entry equals ``shapley(game, mask)``.
+    """
+    q = _potential(game.values, game.grand_coalition)
+    return {mask: _shapley_from_potential(q, mask) for mask in range(1, game.num_coalitions)}
 
 
 @dataclass(frozen=True)
@@ -80,8 +109,7 @@ def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
         base = [float(game.values[1 << i]) for i in range(n)]
     rows: list[list[Scalar]] = [[base[i]] * (1 << n) for i in range(n)]
 
-    for mask in range(1, 1 << n):
-        phi = shapley(game, mask)
+    for mask, phi in shapley_table(game).items():
         phi_max = max(phi.values())
         v_c = game.values[mask]
         if phi_max == 0:

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import click
 
-from .axioms import AXIOM_NAMES, Tolerance, Verdict, check_all
-from .baselines import compare_mechanisms, scaled_rho_shapley, shapley
+from .axioms import AXIOM_NAMES, DEFAULT_EPSILON, Tolerance, Verdict, check_all
+from .baselines import compare_mechanisms, scaled_rho_shapley, shapley_table
 from .errors import FairshareError, FileFormatError, SizeLimitExceededError
 from .formats import (
     FLOAT,
@@ -176,8 +176,9 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
     doc = _load_game(game_path)
     game = doc.game
     click.echo("shapley values per coalition:")
-    for mask in sorted(range(1, game.num_coalitions), key=lambda m: (m.bit_count(), doc.key(m))):
-        phi = shapley(game, mask)
+    table = shapley_table(game)
+    for mask in sorted(table, key=lambda m: (m.bit_count(), doc.key(m))):
+        phi = table[mask]
         inner = ", ".join(f"{doc.labels[i]}={format_scalar(x)}" for i, x in phi.items())
         click.echo(f"  {_braced(doc.labels, mask)}: {inner}")
     if rho_text is None:
@@ -204,7 +205,7 @@ def compare_cmd(game_path: str, rho_text: str):
     doc = _load_game(game_path)
     rho = parse_rho(rho_text)
     report = compare_mechanisms(doc.game, rho)
-    threshold = 0 if doc.game.exact and rho == 1 else 1e-9
+    threshold = 0 if doc.game.exact and rho == 1 else DEFAULT_EPSILON
     unbalanced = sum(1 for r in report.residuals if r.residual > threshold)
     click.echo(f"rho: {rho_text.strip()}")
     click.echo(f"unbalanced (coalition, pair) triples: {unbalanced} of {len(report.residuals)}")

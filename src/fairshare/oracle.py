@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .axioms import (
+    DEFAULT_EPSILON,
     Tolerance,
     check_balanced_reciprocity,
     check_feasibility,
@@ -48,8 +49,11 @@ def brute_force_solve(game: Game) -> OracleResult:
     one rewarded the full value; the other members' rewards follow from
     balanced reciprocity against the already-fixed smaller coalitions.
     Rows with a negative entry or an entry above the coalition value are
-    discarded. The returned matrix uses the lowest-index survivor; the
-    ``unique`` flag records whether all survivors agreed entrywise.
+    discarded. Float mode lets an entry stray past either bound by
+    ``8·n·2⁻⁵²·max(v)``, the rounding that differencing sums of coalition
+    values can leave; exact mode allows no slack. The returned matrix uses
+    the lowest-index survivor; the ``unique`` flag records whether all
+    survivors agreed entrywise.
 
     Monotone games always admit at least one survivor, so
     NoFeasibleCandidateError signals a broken input (or a broken theory).
@@ -63,9 +67,11 @@ def brute_force_solve(game: Game) -> OracleResult:
     rows = [[v[1 << i]] * (1 << n) for i in range(n)]
     feasible: dict[int, tuple[int, ...]] = {}
     unique = True
+    slack = 0 if game.exact else 8 * n * 2.0**-52 * max(v)
 
     for mask in coalitions_by_size(n, min_size=2):
         v_c = v[mask]
+        hi = v_c + slack
         mem = members(mask)
         surviving_rows: dict[int, dict[int, Scalar]] = {}
         for k in mem:
@@ -75,7 +81,7 @@ def brute_force_solve(game: Game) -> OracleResult:
                 if i == k:
                     continue
                 x = v_c - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
-                if x < 0 or x > v_c:
+                if x < -slack or x > hi:
                     ok = False
                     break
                 row[i] = x
@@ -113,7 +119,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
     v = game.values
     n = game.n_players
     big = coalitions_by_size(n, min_size=2)
-    tol = Tolerance.exact() if game.exact else Tolerance.absolute(1e-9)
+    tol = Tolerance.exact() if game.exact else Tolerance.absolute(DEFAULT_EPSILON)
 
     survivors: list[RewardMatrix] = []
     seen: set[RewardMatrix] = set()

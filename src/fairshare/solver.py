@@ -160,8 +160,3 @@ def solve_with_anchor(game: Game, anchor_choice: Callable[[int], int]) -> Reward
     every valid choice.
     """
     return _solve(game, anchor_choice).matrix
-
-
-def reward(matrix: RewardMatrix, player: int, coalition: int) -> Scalar:
-    """Single table lookup with bounds checking."""
-    return matrix.reward(player, coalition)

@@ -13,8 +13,10 @@ from fairshare import (
     compare_mechanisms,
     members,
     pair_residuals,
+    random_monotone_game,
     scaled_rho_shapley,
     shapley,
+    shapley_table,
     solve,
 )
 from reference import random_games, shapley_by_permutations
@@ -62,6 +64,27 @@ class TestShapley:
         assert all(isinstance(x, float) for x in phi.values())
         assert phi == {0: 1.0, 1: 2.0}
 
+    def test_float_rounding_below_zero_is_clamped(self):
+        # player 3's exact value in coalition {2,3,4} is 0, but the potential
+        # difference rounds to about -8.9e-16
+        g = random_monotone_game(6, 39, 10.0 / 3)
+        assert shapley(g, 28)[3] == 0.0
+        matrix = scaled_rho_shapley(g, RHO_IRRATIONAL).matrix
+        assert all(isinstance(x, float) and x >= 0 for row in matrix.rewards for x in row)
+
+    def test_table_matches_per_coalition_values(self):
+        for g in random_games([1, 3, 5], 2, seed0=900):
+            table = shapley_table(g)
+            assert sorted(table) == list(range(1, g.num_coalitions))
+            for mask, phi in table.items():
+                assert phi == shapley(g, mask)
+
+    def test_twelve_players_share_the_grand_value(self):
+        g = random_monotone_game(12, 5)
+        phi = shapley_table(g)[g.grand_coalition]
+        assert all(isinstance(x, Fraction) for x in phi.values())
+        assert sum(phi.values()) == g.value(g.grand_coalition)
+
 
 class TestScaledRhoShapley:
     def test_rho_must_be_in_unit_interval(self, counterexample3):
@@ -107,6 +130,18 @@ class TestScaledRhoShapley:
                         if not mask & (1 << i):
                             expected = g.solo_value(i)
                             assert abs(matrix.rewards[i][mask] - expected) <= tol
+
+    def test_rho_one_columns_are_per_coalition_shares(self):
+        # ties the whole-game potential to the per-coalition down-set one
+        for g in random_games([2, 3, 4, 5, 6], 3, seed0=500):
+            matrix = scaled_rho_shapley(g, 1).matrix
+            for mask in range(1, g.num_coalitions):
+                phi = shapley(g, mask)
+                top = max(phi.values())
+                for i, phi_i in phi.items():
+                    # a worthless coalition pays every member its value, 0
+                    share = phi_i / top if top else 1
+                    assert matrix.rewards[i][mask] == share * g.value(mask)
 
     def test_worthless_coalitions_pay_zero(self):
         g = Game(2, [0, 0, 0, 1])

@@ -39,6 +39,19 @@ class TestLevelWiseOracle:
         with pytest.raises(SizeLimitExceededError):
             brute_force_solve(random_monotone_game(11, seed=0))
 
+    @pytest.mark.parametrize(
+        "seed, scale", [(8, 10.0**-4 / 3), (4, 10.0**-1 / 3)], ids=["1e-4", "1e-1"]
+    )
+    def test_float_rounding_keeps_the_true_candidate(self, seed, scale):
+        # the true full-value recipient's row rounds a hair outside [0, v(C)]
+        # on these games; without slack no candidate survived some coalition
+        g = random_monotone_game(4, seed, scale)
+        bound = 8 * g.n_players * 2.0**-52 * max(g.values)
+        oracle = brute_force_solve(g).matrix
+        expected = solve(g).matrix
+        for orow, erow in zip(oracle.rewards, expected.rewards):
+            assert all(abs(x - y) <= bound for x, y in zip(orow, erow))
+
 
 class TestGlobalEnumerationOracle:
     def test_exactly_one_table_survives_on_counterexample3(self, counterexample3):

@@ -12,7 +12,6 @@ from fairshare import (
     counterexample3_game,
     members,
     random_monotone_game,
-    reward,
     solve,
     solve_with_anchor,
 )
@@ -200,12 +199,12 @@ def test_crowned_member_dominates_handovers():
 
 def test_reward_accessor_and_bounds(example1_solution):
     matrix, _ = example1_solution
-    assert reward(matrix, 3, 0b1110) == 9
-    assert reward(matrix, 0, 0b1110) == 1
+    assert matrix.reward(3, 0b1110) == 9
+    assert matrix.reward(0, 0b1110) == 1
     with pytest.raises(OutOfRangeError):
-        reward(matrix, 4, 0)
+        matrix.reward(4, 0)
     with pytest.raises(OutOfRangeError):
-        reward(matrix, 0, 16)
+        matrix.reward(0, 16)
     with pytest.raises(OutOfRangeError):
         matrix.column(16)
 
@@ -240,5 +239,5 @@ def test_concurrent_solves_match_serial():
 
 def test_counterexample3_spot_values(counterexample3):
     matrix, _ = solve(counterexample3)
-    assert reward(matrix, 0, 0b101) == 2
+    assert matrix.reward(0, 0b101) == 2
     assert matrix.column(0b111) == (3, 5, 6)
