@@ -70,16 +70,6 @@ def shapley(game: Game, coalition: int) -> dict[int, Scalar]:
     return _shapley_from_potential(_potential(game.values, coalition), coalition)
 
 
-def shapley_table(game: Game) -> dict[int, dict[int, Scalar]]:
-    """Shapley values of every subgame, keyed by non-empty coalition mask.
-
-    One potential over the grand coalition serves all 2^n - 1 subgames, so
-    the whole table costs O(n·2^n); each entry equals ``shapley(game, mask)``.
-    """
-    q = _potential(game.values, game.grand_coalition)
-    return {mask: _shapley_from_potential(q, mask) for mask in range(1, game.num_coalitions)}
-
-
 @dataclass(frozen=True)
 class RhoShapleyMatrix:
     """Scaled Shapley reward table plus the exponent that produced it."""
@@ -109,7 +99,9 @@ def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
         base = [float(game.values[1 << i]) for i in range(n)]
     rows: list[list[Scalar]] = [[base[i]] * (1 << n) for i in range(n)]
 
-    for mask, phi in shapley_table(game).items():
+    q = _potential(game.values, game.grand_coalition)
+    for mask in range(1, 1 << n):
+        phi = _shapley_from_potential(q, mask)
         phi_max = max(phi.values())
         v_c = game.values[mask]
         if phi_max == 0:

@@ -18,7 +18,12 @@ from pathlib import Path
 import click
 
 from .axioms import AXIOM_NAMES, DEFAULT_EPSILON, Tolerance, Verdict, check_all
-from .baselines import compare_mechanisms, scaled_rho_shapley, shapley_table
+from .baselines import (
+    _potential,
+    _shapley_from_potential,
+    compare_mechanisms,
+    scaled_rho_shapley,
+)
 from .errors import FairshareError, FileFormatError, SizeLimitExceededError
 from .formats import (
     FLOAT,
@@ -176,9 +181,11 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
     doc = _load_game(game_path)
     game = doc.game
     click.echo("shapley values per coalition:")
-    table = shapley_table(game)
-    for mask in sorted(table, key=lambda m: (m.bit_count(), doc.key(m))):
-        phi = table[mask]
+    # one potential serves every coalition; a shapley() call per coalition
+    # would redo each down-set
+    q = _potential(game.values, game.grand_coalition)
+    for mask in sorted(range(1, game.num_coalitions), key=lambda m: (m.bit_count(), doc.key(m))):
+        phi = _shapley_from_potential(q, mask)
         inner = ", ".join(f"{doc.labels[i]}={format_scalar(x)}" for i, x in phi.items())
         click.echo(f"  {_braced(doc.labels, mask)}: {inner}")
     if rho_text is None:

@@ -50,8 +50,10 @@ def brute_force_solve(game: Game) -> OracleResult:
     balanced reciprocity against the already-fixed smaller coalitions.
     Rows with a negative entry or an entry above the coalition value are
     discarded. Float mode lets an entry stray past either bound by
-    ``8·n·2⁻⁵²·max(v)``, the rounding that differencing sums of coalition
-    values can leave; exact mode allows no slack. The returned matrix uses
+    ``8·n·2⁻⁵²·v(C)``, the rounding that differencing sums of coalition
+    values can leave; by monotonicity every term is at most v(C), so the
+    slack scales with the coalition, not the game. Exact mode allows no
+    slack. The returned matrix uses
     the lowest-index survivor; the ``unique`` flag records whether all
     survivors agreed entrywise.
 
@@ -67,10 +69,11 @@ def brute_force_solve(game: Game) -> OracleResult:
     rows = [[v[1 << i]] * (1 << n) for i in range(n)]
     feasible: dict[int, tuple[int, ...]] = {}
     unique = True
-    slack = 0 if game.exact else 8 * n * 2.0**-52 * max(v)
+    ulps = 0 if game.exact else 8 * n * 2.0**-52
 
     for mask in coalitions_by_size(n, min_size=2):
         v_c = v[mask]
+        slack = ulps * v_c
         hi = v_c + slack
         mem = members(mask)
         surviving_rows: dict[int, dict[int, Scalar]] = {}

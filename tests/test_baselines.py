@@ -16,7 +16,6 @@ from fairshare import (
     random_monotone_game,
     scaled_rho_shapley,
     shapley,
-    shapley_table,
     solve,
 )
 from reference import random_games, shapley_by_permutations
@@ -51,6 +50,8 @@ class TestShapley:
     def test_members_share_the_full_coalition_value(self, example1):
         for mask in range(1, 16):
             assert sum(shapley(example1, mask).values()) == example1.value(mask)
+        g = random_monotone_game(12, 5)
+        assert sum(shapley(g, g.grand_coalition).values()) == g.value(g.grand_coalition)
 
     def test_rejects_empty_and_out_of_range(self, example1):
         with pytest.raises(EmptyCoalitionError):
@@ -71,19 +72,6 @@ class TestShapley:
         assert shapley(g, 28)[3] == 0.0
         matrix = scaled_rho_shapley(g, RHO_IRRATIONAL).matrix
         assert all(isinstance(x, float) and x >= 0 for row in matrix.rewards for x in row)
-
-    def test_table_matches_per_coalition_values(self):
-        for g in random_games([1, 3, 5], 2, seed0=900):
-            table = shapley_table(g)
-            assert sorted(table) == list(range(1, g.num_coalitions))
-            for mask, phi in table.items():
-                assert phi == shapley(g, mask)
-
-    def test_twelve_players_share_the_grand_value(self):
-        g = random_monotone_game(12, 5)
-        phi = shapley_table(g)[g.grand_coalition]
-        assert all(isinstance(x, Fraction) for x in phi.values())
-        assert sum(phi.values()) == g.value(g.grand_coalition)
 
 
 class TestScaledRhoShapley:

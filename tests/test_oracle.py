@@ -52,6 +52,15 @@ class TestLevelWiseOracle:
         for orow, erow in zip(oracle.rewards, expected.rewards):
             assert all(abs(x - y) <= bound for x, y in zip(orow, erow))
 
+    def test_float_slack_scales_with_the_coalition(self):
+        # a slack sized by max(v) = 1e6 would also keep candidate 0 at {0,1},
+        # whose row pays player 1 4e-10 > v({0,1}) = 3e-10, and choose it
+        g = Game(3, [0.0, 1e-10, 2e-10, 3e-10, 1e6, 1e6, 1e6, 1e6])
+        result = brute_force_solve(g)
+        assert result.feasible_candidates[0b011] == (1,)
+        assert result.matrix.reward(1, 0b011) == 3e-10
+        assert result.matrix.reward(0, 0b011) <= 3e-10
+
 
 class TestGlobalEnumerationOracle:
     def test_exactly_one_table_survives_on_counterexample3(self, counterexample3):
