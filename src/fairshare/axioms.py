@@ -18,9 +18,12 @@ the premise holds, then verify the conclusion only there.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from functools import cached_property
+from operator import attrgetter
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
 from .games import Game, Scalar, members, submasks
@@ -145,20 +148,96 @@ def _require_same_shape(game: Game, matrix: RewardMatrix) -> None:
         )
 
 
+# Past this many bits the common denominator is dropped and the exact checks
+# compare the Fractions themselves: a table with thousands of distinct prime
+# denominators would otherwise scale every entry to an enormous integer.
+_MAX_DENOMINATOR_BITS = 256
+
+
+class _Numbers(NamedTuple):
+    """Game values and reward rows as the R1-R5 and F5 checkers compare them.
+
+    A comparison allows ``eps``: equal means ``abs(a - b) <= eps``, at most
+    means ``a - b <= eps``. When ``denominator`` is set, every number is an
+    int scaled by it and eps is 0; otherwise the numbers are the entries
+    themselves.
+    """
+
+    values: Sequence
+    rows: Sequence[Sequence]
+    eps: Scalar
+    denominator: int | None
+
+    def unscale(self, x):
+        """A compared number as the entry it came from (for witnesses)."""
+        return x if self.denominator is None else Fraction(x, self.denominator)
+
+
+def _common_denominator(seqs) -> int | None:
+    """Least common denominator of every number, or None when one is not a
+    Fraction or the denominator would pass ``_MAX_DENOMINATOR_BITS``."""
+    denominators = set()
+    for seq in seqs:
+        if set(map(type, seq)) != {Fraction}:
+            return None
+        denominators.update(map(attrgetter("denominator"), seq))
+    d = 1
+    for q in denominators:
+        d = math.lcm(d, q)
+        if d.bit_length() > _MAX_DENOMINATOR_BITS:
+            return None
+    return d
+
+
+def _scaled(seq: Sequence[Fraction], d: int) -> list[int]:
+    return [p * (d // q) for p, q in map(Fraction.as_integer_ratio, seq)]
+
+
+class _Operands:
+    """One game, table and tolerance, checked by any number of checkers.
+
+    ``numbers`` is built on first use and then shared. For an exact game
+    and table under an exact tolerance it scales every value and entry to
+    an int over their common denominator: multiplying by a positive
+    constant keeps every ==, <= and <, so comparing the ints with eps 0
+    gives the exact verdicts without Fraction arithmetic.
+    """
+
+    def __init__(self, game: Game, matrix: RewardMatrix, tol: Tolerance | None):
+        _require_same_shape(game, matrix)
+        self.game = game
+        self.matrix = matrix
+        self.tol = tol or default_tolerance(game, matrix)
+
+    @cached_property
+    def numbers(self) -> _Numbers:
+        values, rows = self.game.values, self.matrix.rewards
+        if not self.tol.is_exact:
+            return _Numbers(values, rows, self.tol.epsilon, None)
+        d = _common_denominator((values, *rows))
+        if d is None:
+            return _Numbers(values, rows, 0, None)
+        return _Numbers(_scaled(values, d), [_scaled(row, d) for row in rows], 0, d)
+
+
 def check_nonnegativity(
     game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
 ) -> CheckResult:
     """R1: every member's reward is nonnegative."""
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
-    for mask in range(matrix.num_coalitions):
+    return _nonnegativity(_Operands(game, matrix, tol))
+
+
+def _nonnegativity(ops: _Operands) -> CheckResult:
+    nums = ops.numbers
+    rows, eps = nums.rows, nums.eps
+    for mask in range(len(nums.values)):
         for i in members(mask):
-            r = matrix.rewards[i][mask]
-            if not tol.ge(r, 0):
+            r = rows[i][mask]
+            if not 0 - r <= eps:
                 return CheckResult(
                     "R1",
                     Verdict.FAIL,
-                    {"coalition": mask, "player": i, "reward": r},
+                    {"coalition": mask, "player": i, "reward": nums.unscale(r)},
                 )
     return CheckResult("R1", Verdict.PASS)
 
@@ -167,17 +246,25 @@ def check_feasibility(
     game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
 ) -> CheckResult:
     """R2: no member's reward exceeds the coalition's value."""
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
-    for mask in range(matrix.num_coalitions):
-        v_c = game.values[mask]
+    return _feasibility(_Operands(game, matrix, tol))
+
+
+def _feasibility(ops: _Operands) -> CheckResult:
+    nums = ops.numbers
+    rows, eps = nums.rows, nums.eps
+    for mask, v_c in enumerate(nums.values):
         for i in members(mask):
-            r = matrix.rewards[i][mask]
-            if not tol.le(r, v_c):
+            r = rows[i][mask]
+            if not r - v_c <= eps:
                 return CheckResult(
                     "R2",
                     Verdict.FAIL,
-                    {"coalition": mask, "player": i, "reward": r, "coalition_value": v_c},
+                    {
+                        "coalition": mask,
+                        "player": i,
+                        "reward": nums.unscale(r),
+                        "coalition_value": nums.unscale(v_c),
+                    },
                 )
     return CheckResult("R2", Verdict.PASS)
 
@@ -186,19 +273,24 @@ def check_weak_efficiency(
     game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
 ) -> CheckResult:
     """R3: in every non-empty coalition some member gets the full value."""
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
-    for mask in range(1, matrix.num_coalitions):
-        v_c = game.values[mask]
+    return _weak_efficiency(_Operands(game, matrix, tol))
+
+
+def _weak_efficiency(ops: _Operands) -> CheckResult:
+    nums = ops.numbers
+    rows, eps = nums.rows, nums.eps
+    for mask, v_c in enumerate(nums.values):
+        if not mask:
+            continue
         mem = members(mask)
-        if not any(tol.eq(matrix.rewards[i][mask], v_c) for i in mem):
+        if not any(abs(rows[i][mask] - v_c) <= eps for i in mem):
             return CheckResult(
                 "R3",
                 Verdict.FAIL,
                 {
                     "coalition": mask,
-                    "coalition_value": v_c,
-                    "member_rewards": {i: matrix.rewards[i][mask] for i in mem},
+                    "coalition_value": nums.unscale(v_c),
+                    "member_rewards": {i: nums.unscale(rows[i][mask]) for i in mem},
                 },
             )
     return CheckResult("R3", Verdict.PASS)
@@ -208,17 +300,26 @@ def check_individual_rationality(
     game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
 ) -> CheckResult:
     """R4: nobody, member or not, is ever rewarded below their solo value."""
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
-    for mask in range(matrix.num_coalitions):
-        for i in range(game.n_players):
-            r = matrix.rewards[i][mask]
-            v_i = game.values[1 << i]
-            if not tol.ge(r, v_i):
+    return _individual_rationality(_Operands(game, matrix, tol))
+
+
+def _individual_rationality(ops: _Operands) -> CheckResult:
+    nums = ops.numbers
+    rows, eps = nums.rows, nums.eps
+    solo = [(i, row, nums.values[1 << i]) for i, row in enumerate(rows)]
+    for mask in range(len(nums.values)):
+        for i, row, v_i in solo:
+            r = row[mask]
+            if not v_i - r <= eps:
                 return CheckResult(
                     "R4",
                     Verdict.FAIL,
-                    {"coalition": mask, "player": i, "reward": r, "solo_value": v_i},
+                    {
+                        "coalition": mask,
+                        "player": i,
+                        "reward": nums.unscale(r),
+                        "solo_value": nums.unscale(v_i),
+                    },
                 )
     return CheckResult("R4", Verdict.PASS)
 
@@ -227,19 +328,28 @@ def check_nonparticipation(
     game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
 ) -> CheckResult:
     """R5: non-members keep exactly their solo value."""
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
-    for mask in range(matrix.num_coalitions):
-        for i in range(game.n_players):
-            if mask & (1 << i):
+    return _nonparticipation(_Operands(game, matrix, tol))
+
+
+def _nonparticipation(ops: _Operands) -> CheckResult:
+    nums = ops.numbers
+    rows, eps = nums.rows, nums.eps
+    solo = [(i, 1 << i, row, nums.values[1 << i]) for i, row in enumerate(rows)]
+    for mask in range(len(nums.values)):
+        for i, bit, row, v_i in solo:
+            if mask & bit:
                 continue
-            r = matrix.rewards[i][mask]
-            v_i = game.values[1 << i]
-            if not tol.eq(r, v_i):
+            r = row[mask]
+            if not abs(r - v_i) <= eps:
                 return CheckResult(
                     "R5",
                     Verdict.FAIL,
-                    {"coalition": mask, "player": i, "reward": r, "solo_value": v_i},
+                    {
+                        "coalition": mask,
+                        "player": i,
+                        "reward": nums.unscale(r),
+                        "solo_value": nums.unscale(v_i),
+                    },
                 )
     return CheckResult("R5", Verdict.PASS)
 
@@ -267,8 +377,11 @@ def check_uselessness(
     and (b) adding u to any coalition leaves the other members' rewards
     unchanged. Vacuous when the game has no useless player.
     """
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
+    return _uselessness(_Operands(game, matrix, tol))
+
+
+def _uselessness(ops: _Operands) -> CheckResult:
+    game, matrix, tol = ops.game, ops.matrix, ops.tol
     useless = useless_players(game, tol)
     if not useless:
         return CheckResult("F1", Verdict.PASS_VACUOUS)
@@ -322,8 +435,11 @@ def check_symmetry(
     game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
 ) -> CheckResult:
     """F2: interchangeable players get equal rewards wherever both belong."""
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
+    return _symmetry(_Operands(game, matrix, tol))
+
+
+def _symmetry(ops: _Operands) -> CheckResult:
+    game, matrix, tol = ops.game, ops.matrix, ops.tol
     pairs = symmetric_pairs(game, tol)
     if not pairs:
         return CheckResult("F2", Verdict.PASS_VACUOUS)
@@ -374,8 +490,11 @@ def check_strict_desirability(
     everywhere and some non-empty B inside C (avoiding both) has
     v(B+i) > v(B+j). Vacuous when no such triple exists.
     """
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
+    return _strict_desirability(_Operands(game, matrix, tol))
+
+
+def _strict_desirability(ops: _Operands) -> CheckResult:
+    game, matrix, tol = ops.game, ops.matrix, ops.tol
     pairs = desirable_pairs(game, tol)
     applied = False
     for mask in range(matrix.num_coalitions):
@@ -414,19 +533,26 @@ def check_balanced_reciprocity(
 ) -> CheckResult:
     """F5: within any coalition, i's gain from j joining equals j's gain
     from i joining."""
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
-    if game.n_players < 2:
+    return _balanced_reciprocity(_Operands(game, matrix, tol))
+
+
+def _balanced_reciprocity(ops: _Operands) -> CheckResult:
+    if ops.game.n_players < 2:
         return CheckResult("F5", Verdict.PASS_VACUOUS)
-    rows = matrix.rewards
-    for mask in range(matrix.num_coalitions):
+    nums = ops.numbers
+    rows, eps = nums.rows, nums.eps
+    bits = [1 << i for i in range(len(rows))]
+    for mask in range(len(nums.values)):
         mem = members(mask)
-        for a in range(len(mem)):
-            for b in range(a + 1, len(mem)):
-                i, j = mem[a], mem[b]
-                gain_i = rows[i][mask] - rows[i][mask ^ (1 << j)]
-                gain_j = rows[j][mask] - rows[j][mask ^ (1 << i)]
-                if not tol.eq(gain_i, gain_j):
+        for a, i in enumerate(mem):
+            row_i = rows[i]
+            r_i = row_i[mask]
+            without_i = mask ^ bits[i]
+            for j in mem[a + 1 :]:
+                row_j = rows[j]
+                gain_i = r_i - row_i[mask ^ bits[j]]
+                gain_j = row_j[mask] - row_j[without_i]
+                if not abs(gain_i - gain_j) <= eps:
                     return CheckResult(
                         "F5",
                         Verdict.FAIL,
@@ -434,8 +560,8 @@ def check_balanced_reciprocity(
                             "coalition": mask,
                             "player_i": i,
                             "player_j": j,
-                            "gain_i": gain_i,
-                            "gain_j": gain_j,
+                            "gain_i": nums.unscale(gain_i),
+                            "gain_j": nums.unscale(gain_j),
                         },
                     )
     return CheckResult("F5", Verdict.PASS)
@@ -519,29 +645,36 @@ def check_strict_monotonicity_pair(
 
 
 _SINGLE_MATRIX_CHECKS = {
-    "R1": check_nonnegativity,
-    "R2": check_feasibility,
-    "R3": check_weak_efficiency,
-    "R4": check_individual_rationality,
-    "R5": check_nonparticipation,
-    "F1": check_uselessness,
-    "F2": check_symmetry,
-    "F3": check_strict_desirability,
-    "F5": check_balanced_reciprocity,
+    "R1": _nonnegativity,
+    "R2": _feasibility,
+    "R3": _weak_efficiency,
+    "R4": _individual_rationality,
+    "R5": _nonparticipation,
+    "F1": _uselessness,
+    "F2": _symmetry,
+    "F3": _strict_desirability,
+    "F5": _balanced_reciprocity,
 }
+
+
+def _run_checks(
+    codes, game: Game, matrix: RewardMatrix, tol: Tolerance | None
+) -> Iterator[CheckResult]:
+    """Lazily run the named checks, in order, on one shared set of operands."""
+    ops = _Operands(game, matrix, tol)
+    return (_SINGLE_MATRIX_CHECKS[code](ops) for code in codes)
 
 
 def check_axiom(
     axiom: str, game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
 ) -> CheckResult:
     """Run one single-matrix axiom check by its code (R1..R5, F1..F3, F5)."""
-    try:
-        checker = _SINGLE_MATRIX_CHECKS[axiom.upper()]
-    except KeyError:
+    code = axiom.upper()
+    if code not in _SINGLE_MATRIX_CHECKS:
         raise BadParamsError(
             f"unknown axiom {axiom!r}; expected one of {', '.join(_SINGLE_MATRIX_CHECKS)}"
-        ) from None
-    return checker(game, matrix, tol)
+        )
+    return _SINGLE_MATRIX_CHECKS[code](_Operands(game, matrix, tol))
 
 
 def check_all(
@@ -551,13 +684,7 @@ def check_all(
 
     The two-game strict-monotonicity check is excluded; it quantifies over
     pairs of games and is exposed separately as
-    ``check_strict_monotonicity_pair``.
+    ``check_strict_monotonicity_pair``. The checks share one set of
+    operands, so an exact table is scaled to integers once.
     """
-    _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
-    return AxiomReport(
-        tuple(
-            _SINGLE_MATRIX_CHECKS[code](game, matrix, tol)
-            for code in ("R1", "R2", "R3", "R4", "R5", "F1", "F2", "F3", "F5")
-        )
-    )
+    return AxiomReport(tuple(_run_checks(_SINGLE_MATRIX_CHECKS, game, matrix, tol)))

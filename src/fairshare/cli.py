@@ -40,7 +40,7 @@ from .formats import (
     serialize_matrix,
 )
 from .games import make_family
-from .oracle import brute_force_solve, global_enumeration_solve
+from .oracle import agree_up_to_rounding, brute_force_solve, global_enumeration_solve
 from .solver import solve
 
 EXIT_INPUT_ERROR = 1
@@ -318,7 +318,9 @@ def verify_cmd(game_path: str, depth: str):
     else:
         survivors = global_enumeration_solve(doc.game)
         click.echo(f"surviving matrices: {len(survivors)}")
-        matches = len(survivors) == 1 and survivors[0] == expected
+        matches = len(survivors) == 1 and agree_up_to_rounding(
+            doc.game, survivors[0], expected
+        )
         click.echo(f"exactly one, equal to solver output: {'yes' if matches else 'NO'}")
         if not matches:
             sys.exit(EXIT_VIOLATION)

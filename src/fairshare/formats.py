@@ -118,19 +118,32 @@ def _parse_coalition_key(key: str, index_of: dict[str, int]) -> int:
     return mask
 
 
-def _parse_number(raw, mode: str, where: str) -> Scalar:
-    # json.loads is configured to hand decimals over as exact Fractions
-    if isinstance(raw, bool):
-        raise FileFormatError(f"bad number for {where}: {raw!r}")
-    if isinstance(raw, (int, Fraction)):
-        value = Fraction(raw)
-    elif isinstance(raw, str):
+def _fraction(token: str) -> Fraction:
+    """``Fraction(token)``, with a fast path for a plain integer or "p/q".
+
+    The fast path takes only an optional sign, decimal digits and at most
+    one "/" followed by decimal digits, all of which ``Fraction`` accepts
+    with the same value; any other token goes to ``Fraction`` itself.
+    """
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isdecimal() and (not slash or den.isdecimal()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(token)
+
+
+def _parse_number(raw, mode: str) -> Scalar:
+    """One JSON number; raises ValueError when it is not a number."""
+    if isinstance(raw, str):
         try:
-            value = Fraction(raw.strip())
-        except (ValueError, ZeroDivisionError):
-            raise FileFormatError(f"bad number for {where}: {raw!r}") from None
+            value = _fraction(raw.strip())
+        except ZeroDivisionError:
+            raise ValueError from None
+    # json.loads is configured to hand decimals over as exact Fractions
+    elif isinstance(raw, (int, Fraction)) and not isinstance(raw, bool):
+        value = Fraction(raw)
     else:
-        raise FileFormatError(f"bad number for {where}: {raw!r}")
+        raise ValueError
     return float(value) if mode == FLOAT else value
 
 
@@ -142,12 +155,14 @@ def _render_number(x: Scalar) -> int | str | float:
 
 def _json_loads(text: str):
     def reject_duplicates(pairs):
-        seen = set()
-        for k, _ in pairs:
-            if k in seen:
-                raise FileFormatError(f"duplicate key {k!r}")
-            seen.add(k)
-        return dict(pairs)
+        out = dict(pairs)
+        if len(out) != len(pairs):
+            seen = set()
+            for k, _ in pairs:
+                if k in seen:
+                    raise FileFormatError(f"duplicate key {k!r}")
+                seen.add(k)
+        return out
 
     try:
         return json.loads(
@@ -184,7 +199,10 @@ def parse_game(text: str) -> GameDocument:
             raise FileFormatError(
                 f"duplicate coalition {coalition_key(labels, mask)!r}"
             )
-        table[mask] = _parse_number(raw, mode, f"coalition {key!r}")
+        try:
+            table[mask] = _parse_number(raw, mode)
+        except ValueError:
+            raise FileFormatError(f"bad number for coalition {key!r}: {raw!r}") from None
     if table[0] is None:
         table[0] = 0.0 if mode == FLOAT else Fraction(0)
     for mask, x in enumerate(table):
@@ -279,50 +297,51 @@ def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
     return buf.getvalue()
 
 
-def _parse_csv_number(token: str, where: str) -> Scalar:
+def _parse_csv_number(token: str) -> Scalar:
+    """One CSV number; raises ValueError when it is not a finite number."""
     token = token.strip()
-    if not token:
-        raise FileFormatError(f"empty number for {where}")
     try:
         if "." in token or "e" in token or "E" in token:
             x = float(token)
             if not math.isfinite(x):
                 raise ValueError
             return x
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise FileFormatError(f"bad number for {where}: {token!r}") from None
+        return _fraction(token)
+    except ZeroDivisionError:
+        raise ValueError from None
+
+
+def _csv_number_error(token: str, where: str) -> FileFormatError:
+    token = token.strip()
+    if not token:
+        return FileFormatError(f"empty number for {where}")
+    return FileFormatError(f"bad number for {where}: {token!r}")
 
 
 def _finish_matrix(
     labels: tuple[str, ...],
-    table: dict[tuple[int, int], Scalar],
+    rows: list[list[Scalar | None]],
     number_mode: str | None,
     efficient: EfficientPlayerMap | None,
 ) -> MatrixDocument:
-    n = len(labels)
-    width = 1 << n
-    missing = [
-        (i, m) for i in range(n) for m in range(width) if (i, m) not in table
-    ]
-    if missing:
-        i, m = missing[0]
+    """Build the matrix from per-player rows in which None marks a missing cell."""
+    types = set().union(*(map(type, row) for row in rows))
+    if type(None) in types:
+        i, m = next(
+            (i, m) for i, row in enumerate(rows) for m, x in enumerate(row) if x is None
+        )
         raise FileFormatError(
             f"missing reward for player {labels[i]!r}, coalition "
             f"{coalition_key(labels, m)!r}"
         )
-    is_float = number_mode == FLOAT or any(
-        isinstance(x, float) for x in table.values()
-    )
-    rows = tuple(
-        tuple(
-            float(table[(i, m)]) if is_float else Fraction(table[(i, m)])
-            for m in range(width)
-        )
-        for i in range(n)
-    )
+    is_float = number_mode == FLOAT or float in types
+    if is_float and types != {float}:
+        rows = [[float(x) for x in row] for row in rows]
     return MatrixDocument(
-        RewardMatrix(n, rows), labels, FLOAT if is_float else RATIONAL, efficient
+        RewardMatrix(len(labels), tuple(map(tuple, rows))),
+        labels,
+        FLOAT if is_float else RATIONAL,
+        efficient,
     )
 
 
@@ -341,7 +360,7 @@ def _parse_matrix_json(doc: dict) -> MatrixDocument:
     rewards = doc["rewards"]
     if not isinstance(rewards, dict):
         raise FileFormatError('"rewards" must be an object keyed by coalition')
-    table: dict[tuple[int, int], Scalar] = {}
+    rows: list[list[Scalar | None]] = [[None] * (1 << n) for _ in range(n)]
     for key, per_player in rewards.items():
         mask = _parse_coalition_key(key, index_of)
         if not isinstance(per_player, dict):
@@ -349,12 +368,17 @@ def _parse_matrix_json(doc: dict) -> MatrixDocument:
         for lab, raw in per_player.items():
             if lab not in index_of:
                 raise FileFormatError(f"unknown player label {lab!r}")
-            cell = (index_of[lab], mask)
-            if cell in table:
+            row = rows[index_of[lab]]
+            if row[mask] is not None:
                 raise FileFormatError(
                     f"duplicate reward for player {lab!r} in coalition {key!r}"
                 )
-            table[cell] = _parse_number(raw, mode, f"player {lab!r} in coalition {key!r}")
+            try:
+                row[mask] = _parse_number(raw, mode)
+            except ValueError:
+                raise FileFormatError(
+                    f"bad number for player {lab!r} in coalition {key!r}: {raw!r}"
+                ) from None
     efficient: EfficientPlayerMap | None = None
     if "efficient_player" in doc:
         efficient = {}
@@ -366,7 +390,7 @@ def _parse_matrix_json(doc: dict) -> MatrixDocument:
             if not isinstance(lab, str) or lab not in index_of:
                 raise FileFormatError(f"unknown player label {lab!r}")
             efficient[mask] = index_of[lab]
-    return _finish_matrix(labels, table, mode, efficient)
+    return _finish_matrix(labels, rows, mode, efficient)
 
 
 def _parse_matrix_table_csv(rows: list[list[str]]) -> MatrixDocument:
@@ -379,36 +403,49 @@ def _parse_matrix_table_csv(rows: list[list[str]]) -> MatrixDocument:
     masks = [_parse_coalition_key(k, index_of) for k in header[1:]]
     if len(set(masks)) != len(masks):
         raise FileFormatError("duplicate coalition column")
-    table: dict[tuple[int, int], Scalar] = {}
+    width = 1 << len(labels)
+    table: list[list[Scalar | None]] = [[None] * width for _ in labels]
     for row in body:
         if len(row) != len(header):
             raise FileFormatError(f"row for player {row[0]!r} has the wrong width")
-        i = index_of[row[0]]
+        out = table[index_of[row[0]]]
         for mask, token in zip(masks, row[1:]):
-            table[(i, mask)] = _parse_csv_number(
-                token, f"player {row[0]!r}, coalition mask {mask}"
-            )
+            try:
+                out[mask] = _parse_csv_number(token)
+            except ValueError:
+                raise _csv_number_error(
+                    token, f"player {row[0]!r}, coalition mask {mask}"
+                ) from None
     return _finish_matrix(labels, table, None, None)
 
 
 def _parse_matrix_long_csv(rows: list[list[str]]) -> MatrixDocument:
     body = [r for r in rows[1:] if r]
-    seen_labels: list[str] = []
+    seen_labels: dict[str, None] = {}
     for r in body:
         if len(r) != 3:
             raise FileFormatError("long CSV rows must be player,coalition,reward")
-        if r[0] not in seen_labels:
-            seen_labels.append(r[0])
-    labels = _check_labels(seen_labels)
+        seen_labels[r[0]] = None
+    labels = _check_labels(list(seen_labels))
     index_of = {lab: i for i, lab in enumerate(labels)}
-    table: dict[tuple[int, int], Scalar] = {}
+    width = 1 << len(labels)
+    table: list[list[Scalar | None]] = [[None] * width for _ in labels]
+    mask_of_key: dict[str, int] = {}
     for lab, key, token in body:
-        cell = (index_of[lab], _parse_coalition_key(key, index_of))
-        if cell in table:
+        mask = mask_of_key.get(key)
+        if mask is None:
+            mask = mask_of_key[key] = _parse_coalition_key(key, index_of)
+        row = table[index_of[lab]]
+        if row[mask] is not None:
             raise FileFormatError(
                 f"duplicate reward for player {lab!r}, coalition {key!r}"
             )
-        table[cell] = _parse_csv_number(token, f"player {lab!r}, coalition {key!r}")
+        try:
+            row[mask] = _parse_csv_number(token)
+        except ValueError:
+            raise _csv_number_error(
+                token, f"player {lab!r}, coalition {key!r}"
+            ) from None
     return _finish_matrix(labels, table, None, None)
 
 
@@ -446,26 +483,24 @@ def align_matrix_labels(
     n = len(labels)
     target_index = {lab: i for i, lab in enumerate(labels)}
     perm = [target_index[lab] for lab in doc.labels]
-
-    def remap(mask: int) -> int:
-        out = 0
-        for b in members(mask):
-            out |= 1 << perm[b]
-        return out
-
+    # remapped[mask] is the mask in the target labeling, filled from the mask
+    # without its lowest member.
     width = 1 << n
-    rows: list[list[Scalar]] = [[0] * width for _ in range(n)]
-    for i in range(n):
-        for mask in range(width):
-            rows[perm[i]][remap(mask)] = doc.matrix.rewards[i][mask]
+    remapped = [0] * width
+    for mask in range(1, width):
+        low = mask & -mask
+        remapped[mask] = remapped[mask ^ low] | 1 << perm[low.bit_length() - 1]
+    source = [0] * width
+    for mask, target in enumerate(remapped):
+        source[target] = mask
+    rows: list[tuple[Scalar, ...]] = [()] * n
+    for i, row in enumerate(doc.matrix.rewards):
+        rows[perm[i]] = tuple(map(row.__getitem__, source))
     efficient = None
     if doc.efficient_player is not None:
-        efficient = {remap(m): perm[k] for m, k in doc.efficient_player.items()}
+        efficient = {remapped[m]: perm[k] for m, k in doc.efficient_player.items()}
     return MatrixDocument(
-        RewardMatrix(n, tuple(tuple(r) for r in rows)),
-        labels,
-        doc.number_mode,
-        efficient,
+        RewardMatrix(n, tuple(rows)), labels, doc.number_mode, efficient
     )
 
 

@@ -15,22 +15,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .axioms import (
-    DEFAULT_EPSILON,
-    Tolerance,
-    check_balanced_reciprocity,
-    check_feasibility,
-    check_individual_rationality,
-    check_nonnegativity,
-    check_nonparticipation,
-    check_weak_efficiency,
-)
+from .axioms import DEFAULT_EPSILON, Tolerance, _run_checks
 from .errors import NoFeasibleCandidateError, SizeLimitExceededError
 from .games import Game, Scalar, coalitions_by_size, members
 from .solver import RewardMatrix
 
 LEVEL_WISE_MAX_PLAYERS = 10
 GLOBAL_MAX_PLAYERS = 4
+
+# The axioms a complete matrix must pass to survive global enumeration.
+_TABLE_AXIOMS = ("R1", "R2", "R3", "R4", "R5", "F5")
+
+
+def _slack_ulps(game: Game) -> float:
+    """Float slack per unit of coalition value (see ``brute_force_solve``);
+    exact games get none."""
+    return 0 if game.exact else 8 * game.n_players * 2.0**-52
+
+
+def agree_up_to_rounding(game: Game, a: RewardMatrix, b: RewardMatrix) -> bool:
+    """Whether two tables for ``game`` differ in no entry of coalition C's
+    column by more than the oracles' float slack, ``8·n·2⁻⁵²·v(C)``.
+
+    Exact games allow no slack, so their tables must be equal.
+    """
+    ulps = _slack_ulps(game)
+    return all(
+        abs(x - y) <= ulps * v_c
+        for row_a, row_b in zip(a.rewards, b.rewards)
+        for x, y, v_c in zip(row_a, row_b, game.values)
+    )
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,7 @@ def brute_force_solve(game: Game) -> OracleResult:
     rows = [[v[1 << i]] * (1 << n) for i in range(n)]
     feasible: dict[int, tuple[int, ...]] = {}
     unique = True
-    ulps = 0 if game.exact else 8 * n * 2.0**-52
+    ulps = _slack_ulps(game)
 
     for mask in coalitions_by_size(n, min_size=2):
         v_c = v[mask]
@@ -112,8 +126,10 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
     assignment space), builds each complete matrix from balanced
     reciprocity, and keeps those passing nonnegativity, feasibility, weak
     efficiency, individual rationality, non-participation, and the full
-    reciprocity check. Duplicates are collapsed entrywise. Uniqueness of
-    the allocation means the result should be a single matrix.
+    reciprocity check. Duplicates are collapsed: in float mode, tables that
+    agree within ``brute_force_solve``'s slack of ``8·n·2⁻⁵²·v(C)`` count as
+    one, and the fail-fast filter allows the same slack. Uniqueness of the
+    allocation means the result should be a single matrix.
     """
     if game.n_players > GLOBAL_MAX_PLAYERS:
         raise SizeLimitExceededError(
@@ -123,6 +139,9 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
     n = game.n_players
     big = coalitions_by_size(n, min_size=2)
     tol = Tolerance.exact() if game.exact else Tolerance.absolute(DEFAULT_EPSILON)
+    ulps = _slack_ulps(game)
+    # the fail-fast filter's range per coalition, [-slack, v(C) + slack]
+    bounds = {mask: (-ulps * v[mask], v[mask] + ulps * v[mask]) for mask in big}
 
     survivors: list[RewardMatrix] = []
     seen: set[RewardMatrix] = set()
@@ -131,6 +150,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
         feasible = True
         for mask, k in zip(big, assignment):
             v_c = v[mask]
+            lo, hi = bounds[mask]
             rows[k][mask] = v_c
             for i in members(mask):
                 if i == k:
@@ -138,7 +158,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
                 x = v_c - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
                 # R1/R2 fail-fast: the axiom filter below would reject the
                 # finished matrix anyway, this just skips the build early.
-                if x < 0 or x > v_c:
+                if x < lo or x > hi:
                     feasible = False
                     break
                 rows[i][mask] = x
@@ -150,16 +170,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
         if matrix in seen:
             continue
         seen.add(matrix)
-        if all(
-            check(game, matrix, tol).passed
-            for check in (
-                check_nonnegativity,
-                check_feasibility,
-                check_weak_efficiency,
-                check_individual_rationality,
-                check_nonparticipation,
-                check_balanced_reciprocity,
-            )
-        ):
+        passes = all(r.passed for r in _run_checks(_TABLE_AXIOMS, game, matrix, tol))
+        if passes and not any(agree_up_to_rounding(game, matrix, s) for s in survivors):
             survivors.append(matrix)
     return survivors

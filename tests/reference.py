@@ -4,6 +4,8 @@ Nothing here may call back into the code paths it is meant to check:
 Shapley values come from raw permutation enumeration, monotonicity from
 an all-pairs subset scan, and witness re-evaluation recomputes the
 violated condition straight from the table entries the witness names.
+The R1-R5 and F5 checkers in ``TABLE_CHECKS`` compare the table entries
+themselves through ``Tolerance``, with no common-denominator scaling.
 """
 
 from __future__ import annotations
@@ -11,7 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from fairshare import Game, RewardMatrix, members, random_monotone_game
+from fairshare import (
+    CheckResult,
+    DimensionMismatchError,
+    Game,
+    RewardMatrix,
+    Tolerance,
+    Verdict,
+    default_tolerance,
+    members,
+    random_monotone_game,
+)
 
 
 def random_games(sizes, per_size, seed0=0, max_increment=10):
@@ -153,3 +165,151 @@ def strict_desirability_triples(game: Game):
                 )
                 if strict_b is not None:
                     yield i, j, mask, strict_b
+
+
+def _require_same_shape(game: Game, matrix: RewardMatrix) -> None:
+    if matrix.n_players != game.n_players:
+        raise DimensionMismatchError(
+            f"matrix has {matrix.n_players} players, game has {game.n_players}"
+        )
+
+
+def check_nonnegativity(
+    game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
+) -> CheckResult:
+    """R1: every member's reward is nonnegative."""
+    _require_same_shape(game, matrix)
+    tol = tol or default_tolerance(game, matrix)
+    for mask in range(matrix.num_coalitions):
+        for i in members(mask):
+            r = matrix.rewards[i][mask]
+            if not tol.ge(r, 0):
+                return CheckResult(
+                    "R1",
+                    Verdict.FAIL,
+                    {"coalition": mask, "player": i, "reward": r},
+                )
+    return CheckResult("R1", Verdict.PASS)
+
+
+def check_feasibility(
+    game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
+) -> CheckResult:
+    """R2: no member's reward exceeds the coalition's value."""
+    _require_same_shape(game, matrix)
+    tol = tol or default_tolerance(game, matrix)
+    for mask in range(matrix.num_coalitions):
+        v_c = game.values[mask]
+        for i in members(mask):
+            r = matrix.rewards[i][mask]
+            if not tol.le(r, v_c):
+                return CheckResult(
+                    "R2",
+                    Verdict.FAIL,
+                    {"coalition": mask, "player": i, "reward": r, "coalition_value": v_c},
+                )
+    return CheckResult("R2", Verdict.PASS)
+
+
+def check_weak_efficiency(
+    game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
+) -> CheckResult:
+    """R3: in every non-empty coalition some member gets the full value."""
+    _require_same_shape(game, matrix)
+    tol = tol or default_tolerance(game, matrix)
+    for mask in range(1, matrix.num_coalitions):
+        v_c = game.values[mask]
+        mem = members(mask)
+        if not any(tol.eq(matrix.rewards[i][mask], v_c) for i in mem):
+            return CheckResult(
+                "R3",
+                Verdict.FAIL,
+                {
+                    "coalition": mask,
+                    "coalition_value": v_c,
+                    "member_rewards": {i: matrix.rewards[i][mask] for i in mem},
+                },
+            )
+    return CheckResult("R3", Verdict.PASS)
+
+
+def check_individual_rationality(
+    game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
+) -> CheckResult:
+    """R4: nobody, member or not, is ever rewarded below their solo value."""
+    _require_same_shape(game, matrix)
+    tol = tol or default_tolerance(game, matrix)
+    for mask in range(matrix.num_coalitions):
+        for i in range(game.n_players):
+            r = matrix.rewards[i][mask]
+            v_i = game.values[1 << i]
+            if not tol.ge(r, v_i):
+                return CheckResult(
+                    "R4",
+                    Verdict.FAIL,
+                    {"coalition": mask, "player": i, "reward": r, "solo_value": v_i},
+                )
+    return CheckResult("R4", Verdict.PASS)
+
+
+def check_nonparticipation(
+    game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
+) -> CheckResult:
+    """R5: non-members keep exactly their solo value."""
+    _require_same_shape(game, matrix)
+    tol = tol or default_tolerance(game, matrix)
+    for mask in range(matrix.num_coalitions):
+        for i in range(game.n_players):
+            if mask & (1 << i):
+                continue
+            r = matrix.rewards[i][mask]
+            v_i = game.values[1 << i]
+            if not tol.eq(r, v_i):
+                return CheckResult(
+                    "R5",
+                    Verdict.FAIL,
+                    {"coalition": mask, "player": i, "reward": r, "solo_value": v_i},
+                )
+    return CheckResult("R5", Verdict.PASS)
+
+
+def check_balanced_reciprocity(
+    game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
+) -> CheckResult:
+    """F5: within any coalition, i's gain from j joining equals j's gain
+    from i joining."""
+    _require_same_shape(game, matrix)
+    tol = tol or default_tolerance(game, matrix)
+    if game.n_players < 2:
+        return CheckResult("F5", Verdict.PASS_VACUOUS)
+    rows = matrix.rewards
+    for mask in range(matrix.num_coalitions):
+        mem = members(mask)
+        for a in range(len(mem)):
+            for b in range(a + 1, len(mem)):
+                i, j = mem[a], mem[b]
+                gain_i = rows[i][mask] - rows[i][mask ^ (1 << j)]
+                gain_j = rows[j][mask] - rows[j][mask ^ (1 << i)]
+                if not tol.eq(gain_i, gain_j):
+                    return CheckResult(
+                        "F5",
+                        Verdict.FAIL,
+                        {
+                            "coalition": mask,
+                            "player_i": i,
+                            "player_j": j,
+                            "gain_i": gain_i,
+                            "gain_j": gain_j,
+                        },
+                    )
+    return CheckResult("F5", Verdict.PASS)
+
+
+TABLE_CHECKS = {
+    "R1": check_nonnegativity,
+    "R2": check_feasibility,
+    "R3": check_weak_efficiency,
+    "R4": check_individual_rationality,
+    "R5": check_nonparticipation,
+    "F5": check_balanced_reciprocity,
+}

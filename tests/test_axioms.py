@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,12 +28,14 @@ from fairshare import (
     default_tolerance,
     desirable_pairs,
     raise_coalition_value,
+    random_monotone_game,
     scaled_rho_shapley,
     solve,
     symmetric_pairs,
     useless_players,
 )
-from reference import random_games, violation_reproduces
+from fairshare.axioms import _MAX_DENOMINATOR_BITS, _Operands
+from reference import TABLE_CHECKS, random_games, violation_reproduces
 
 
 class TestTolerance:
@@ -387,3 +390,110 @@ class TestFloatModeAgreement:
         float_report = check_all(counterexample3.as_float(), scaled.as_float())
         for e, f in zip(exact_report, float_report):
             assert e.verdict == f.verdict
+
+
+# Witness keys that name players or coalitions rather than carry a value.
+_INDEX_KEYS = {
+    "coalition",
+    "player",
+    "player_i",
+    "player_j",
+    "strict_witness_subset",
+    "useless_player",
+}
+
+
+def _witness_values(witness: dict):
+    for key, value in witness.items():
+        if key == "member_rewards":
+            yield from value.values()
+        elif key not in _INDEX_KEYS:
+            yield value
+
+
+def _primes():
+    p = 2
+    while True:
+        if all(p % q for q in range(2, int(p**0.5) + 1)):
+            yield p
+        p += 1
+
+
+class TestReferenceCheckers:
+    """R1-R5 and F5 give the verdicts and witnesses of the Fraction loops
+    kept in tests/reference.py, whether run alone or through check_all."""
+
+    @staticmethod
+    def assert_agree(game, matrix, tol=None):
+        report = check_all(game, matrix, tol)
+        for code, reference in TABLE_CHECKS.items():
+            expected = reference(game, matrix, tol)
+            assert check_axiom(code, game, matrix, tol) == expected, code
+            assert report[code] == expected, code
+
+    @staticmethod
+    def assert_fraction_witnesses(game, matrix):
+        for result in check_all(game, matrix):
+            if result.witness is not None:
+                for value in _witness_values(result.witness):
+                    assert type(value) is Fraction, (result.axiom, result.witness)
+
+    def test_exact_tables_tampered_at_random_cells(self):
+        rng = random.Random(5)
+        failures = set()
+        for g in random_games(range(2, 9), 3, seed0=4100):
+            matrix = solve(g).matrix
+            assert _Operands(g, matrix, None).numbers.denominator is not None
+            self.assert_agree(g, matrix)
+            for d in (3, 7, 13):
+                i = rng.randrange(g.n_players)
+                mask = rng.randrange(g.num_coalitions)
+                shift = Fraction(rng.randint(1, 2 * d), d)
+                value = rng.choice((shift, -shift, -matrix.rewards[i][mask] - shift))
+                bad = matrix.replace_entry(i, mask, matrix.rewards[i][mask] + value)
+                self.assert_agree(g, bad)
+                self.assert_fraction_witnesses(g, bad)
+                failures.update(r.axiom for r in check_all(g, bad).failures)
+        assert {"R1", "R2", "R4", "R5", "F5"} <= failures
+
+    def test_weak_efficiency_failure_witness(self, example1, example1_solution):
+        # lowering the full-value entry of {1,2} leaves no member at v = 3
+        bad = example1_solution.matrix.replace_entry(1, 0b0011, Fraction(8, 3))
+        self.assert_agree(example1, bad)
+        self.assert_fraction_witnesses(example1, bad)
+        assert not check_weak_efficiency(example1, bad).passed
+
+    def test_denominators_past_the_cap_fall_back_to_fractions(self):
+        g = random_monotone_game(8, 3)
+        matrix = solve(g).matrix
+        bad, bits, primes = matrix, 0, _primes()
+        cells = ((i, mask) for mask in range(1, g.num_coalitions) for i in range(8))
+        while bits <= _MAX_DENOMINATOR_BITS:
+            p = next(primes)
+            i, mask = next(cells)
+            bad = bad.replace_entry(i, mask, bad.rewards[i][mask] + Fraction(1, p))
+            bits += p.bit_length() - 1
+        assert _Operands(g, bad, None).numbers.denominator is None
+        self.assert_agree(g, bad)
+        self.assert_fraction_witnesses(g, bad)
+        assert not check_balanced_reciprocity(g, bad).passed
+
+    @pytest.mark.parametrize("entry", [7, 2.5], ids=["int", "float"])
+    def test_entry_that_is_not_a_fraction_passes_through(self, example1, entry):
+        bad = solve(example1).matrix.replace_entry(0, 0b0101, entry)
+        assert _Operands(example1, bad, None).numbers.denominator is None
+        self.assert_agree(example1, bad)
+
+    def test_float_tables_near_the_tolerance(self):
+        rng = random.Random(6)
+        tol = Tolerance.absolute(1e-9)
+        for g in random_games(range(2, 7), 3, seed0=4200):
+            g = g.as_float()
+            matrix = solve(g).matrix
+            self.assert_agree(g, matrix)
+            self.assert_agree(g, matrix, tol)
+            for delta in (-2e-9, -1e-9, 5e-10, 1e-9, 2e-9, 1 / 7):
+                i = rng.randrange(g.n_players)
+                mask = rng.randrange(g.num_coalitions)
+                bad = matrix.replace_entry(i, mask, matrix.rewards[i][mask] + delta)
+                self.assert_agree(g, bad)

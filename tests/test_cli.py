@@ -5,10 +5,13 @@ import pytest
 from click.testing import CliRunner
 
 from fairshare import (
+    FLOAT,
+    GameDocument,
     MatrixDocument,
     align_matrix_labels,
     parse_game,
     parse_matrix,
+    random_monotone_game,
     scaled_rho_shapley,
     serialize_game,
     serialize_matrix,
@@ -292,6 +295,15 @@ class TestVerify:
     def test_global_depth(self, runner, c3_path):
         result = runner.invoke(main, ["verify", str(c3_path), "--depth", "global"])
         assert result.exit_code == 0
+        assert "surviving matrices: 1" in result.output
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_global_depth_accepts_float_rounding_twins(self, runner, tmp_path, k):
+        path = tmp_path / "twins.json"
+        game = random_monotone_game(3, 0, 10.0**k / 3)
+        path.write_text(serialize_game(GameDocument(game, ("1", "2", "3"), FLOAT)))
+        result = runner.invoke(main, ["verify", str(path), "--depth", "global"])
+        assert result.exit_code == 0, result.output
         assert "surviving matrices: 1" in result.output
 
     def test_global_depth_size_limit_exits_3(self, runner, tmp_path):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -260,6 +262,47 @@ class TestMatrixParseErrors:
         text = '{"players": 1, "rewards": {"": {"1": 0, "2": 1}, "1": {"1": 1}}}'
         with pytest.raises(FileFormatError, match="unknown player label '2'"):
             parse_matrix(text)
+
+
+# Tokens the number parsers must read exactly as Fraction(token.strip())
+# does, or reject as it does: signs, padding, a signed denominator, digit
+# separators, non-ASCII digits, a zero denominator, and unreduced forms.
+NUMBER_TOKENS = [
+    "3/4", "-3/4", "+3/4", " 3/4 ", "3/-4", "1_0/3", "\u0663/4", "3/0", "-0/5", "2/4", "7"
+]
+
+
+def _with_token(doc: MatrixDocument, form: str, token: str) -> str:
+    """The table in ``form`` with player 1's reward in {1,2} written as token."""
+    text = serialize_matrix(doc, form)
+    if form == "json":
+        obj = json.loads(text)
+        obj["rewards"]["1,2"]["1"] = token
+        return json.dumps(obj)
+    rows = list(csv.reader(io.StringIO(text)))
+    if form == "table":
+        rows[1][rows[0].index("1,2")] = token
+    else:
+        next(r for r in rows if r[:2] == ["1", "1,2"])[2] = token
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+class TestNumberTokens:
+    @pytest.mark.parametrize("form", ["json", "table", "long"])
+    @pytest.mark.parametrize("token", NUMBER_TOKENS)
+    def test_token_reads_as_fraction_reads_it(self, solved_doc, form, token):
+        text = _with_token(solved_doc, form, token)
+        try:
+            expected = Fraction(token.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(FileFormatError, match="bad number"):
+                parse_matrix(text)
+            return
+        value = parse_matrix(text).matrix.reward(0, 0b0011)
+        assert type(value) is Fraction
+        assert value == expected
 
 
 class TestLabelAlignment:

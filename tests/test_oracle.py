@@ -11,6 +11,7 @@ from fairshare import (
     random_monotone_game,
     solve,
 )
+from fairshare.oracle import agree_up_to_rounding
 from reference import random_games
 
 
@@ -79,6 +80,21 @@ class TestGlobalEnumerationOracle:
             survivors = global_enumeration_solve(g)
             assert len(survivors) == 1
             assert survivors[0] == solve(g).matrix
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_float_rounding_twins_count_once(self, k):
+        # two assignments build tables that differ only by rounding, by
+        # 1.4e-14 at k=2 and 1.5e-11 at k=5; both pass every axiom
+        g = random_monotone_game(3, 0, 10.0**k / 3)
+        (survivor,) = global_enumeration_solve(g)
+        assert agree_up_to_rounding(g, survivor, solve(g).matrix)
+
+    def test_exact_tables_get_no_slack(self, example1, example1_solution):
+        matrix = example1_solution.matrix
+        tiny = Fraction(1, 10**30)
+        nudged = matrix.replace_entry(0, 0b1111, matrix.reward(0, 0b1111) + tiny)
+        assert agree_up_to_rounding(example1, matrix, matrix)
+        assert not agree_up_to_rounding(example1, matrix, nudged)
 
     def test_survivor_passes_every_check(self, example1):
         (survivor,) = global_enumeration_solve(example1)
