@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
 from .games import Game, Scalar, members, submasks
-from .solver import RewardMatrix, solve
+from .solver import RewardMatrix, _fill_down_set
 
 DEFAULT_EPSILON = 1e-9
 
@@ -619,8 +619,9 @@ def check_strict_monotonicity_pair(
                 {"reason": "a sub-coalition without the player changed value", "coalition": sub},
             )
 
-    before = solve(game_before).matrix.rewards[player][coalition]
-    after = solve(game_after).matrix.rewards[player][coalition]
+    # the entry depends only on the coalition's down-set in each game
+    before = _fill_down_set(game_before, coalition)[0][player][coalition]
+    after = _fill_down_set(game_after, coalition)[0][player][coalition]
     if not tol.gt(after, before):
         return CheckResult(
             "F4",

@@ -311,7 +311,7 @@ def verify_cmd(game_path: str, depth: str):
         ties = sum(1 for ks in result.feasible_candidates.values() if len(ks) > 1)
         click.echo(f"coalitions with several feasible candidates: {ties}")
         click.echo(f"candidate rows unique: {'yes' if result.unique else 'NO'}")
-        matches = result.matrix == expected
+        matches = agree_up_to_rounding(doc.game, result.matrix, expected)
         click.echo(f"matches solver: {'yes' if matches else 'NO'}")
         if not (result.unique and matches):
             sys.exit(EXIT_VIOLATION)

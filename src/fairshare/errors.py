@@ -48,10 +48,6 @@ class InvalidGameError(FairshareError):
     """A game object failed validation."""
 
 
-class BadAnchorError(FairshareError):
-    """An anchor-selection callback returned a player outside the coalition."""
-
-
 class OutOfRangeError(FairshareError):
     """A player index or coalition mask is out of bounds for this object."""
 

@@ -22,8 +22,10 @@ Parsing a generated file and re-serializing reproduces it byte for byte.
 Reward tables come in three shapes: "table" (CSV, one row per player, one
 column per coalition), "long" (CSV triples player,coalition,reward), and
 "json" (nested object, the only shape that also carries the per-coalition
-efficient player). Rationals render as "p/q", floats with 12 significant
-digits; rational tables round-trip losslessly.
+efficient player). Rationals render as "p/q", floats as their shortest
+round-trip decimal (``repr``), so every shape reads back the very table
+that was written. Only output meant for people (``format_scalar``) rounds
+floats to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -283,14 +285,14 @@ def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
         writer.writerow(["player"] + [coalition_key(labels, m) for m in order])
         for i in range(matrix.n_players):
             writer.writerow(
-                [labels[i]] + [format_scalar(matrix.rewards[i][m]) for m in order]
+                [labels[i]] + [str(matrix.rewards[i][m]) for m in order]
             )
     elif form == "long":
         writer.writerow(["player", "coalition", "reward"])
         for i in range(matrix.n_players):
             for mask in order:
                 writer.writerow(
-                    [labels[i], coalition_key(labels, mask), format_scalar(matrix.rewards[i][mask])]
+                    [labels[i], coalition_key(labels, mask), str(matrix.rewards[i][mask])]
                 )
     else:
         raise FileFormatError(f'unknown format {form!r}; expected table, long, or json')

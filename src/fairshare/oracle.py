@@ -1,6 +1,6 @@
 """Independent cross-checks for the solver, built from the axioms alone.
 
-Neither function here reuses the solver's scoring pass. The level-wise
+Neither function here reuses the solver's potential. The level-wise
 enumeration tries every member of every coalition as the candidate who
 receives the full value, derives the rest of the row purely from balanced
 reciprocity, and keeps the candidates whose rows stay nonnegative and
@@ -52,7 +52,8 @@ class OracleResult:
     matrix: RewardMatrix
     # surviving full-value candidates per coalition of size >= 2
     feasible_candidates: dict[int, tuple[int, ...]]
-    # True iff every coalition's surviving candidates produce identical rows
+    # True iff every coalition's surviving candidates produce the same rows
+    # (in float mode, up to the per-coalition slack)
     unique: bool
 
 
@@ -69,7 +70,7 @@ def brute_force_solve(game: Game) -> OracleResult:
     slack scales with the coalition, not the game. Exact mode allows no
     slack. The returned matrix uses
     the lowest-index survivor; the ``unique`` flag records whether all
-    survivors agreed entrywise.
+    survivors agreed entrywise, in float mode within that same slack.
 
     Monotone games always admit at least one survivor, so
     NoFeasibleCandidateError signals a broken input (or a broken theory).
@@ -109,7 +110,11 @@ def brute_force_solve(game: Game) -> OracleResult:
         survivors = tuple(surviving_rows)
         feasible[mask] = survivors
         chosen = surviving_rows[survivors[0]]
-        if any(surviving_rows[k] != chosen for k in survivors[1:]):
+        if any(
+            abs(x - chosen[i]) > slack
+            for k in survivors[1:]
+            for i, x in surviving_rows[k].items()
+        ):
             unique = False
         for i, x in chosen.items():
             rows[i][mask] = x

@@ -8,22 +8,27 @@ by j joining equals what j gains by i joining. Together with giving some
 member the full coalition value, and fixing non-members at their solo
 value, this determines every entry of the reward table.
 
-The solver fills the table level by level over coalition size. For each
-coalition it provisionally anchors one member, scores every member by the
-reward reciprocity would force on them, crowns the highest-scoring member
-``k`` (ties broken by lowest index) with the full coalition value, and
-derives everyone else's reward from k's row. The anchor choice provably
-cannot change the output; ``solve_with_anchor`` exists so that claim can
-be exercised directly.
+The table is the gradient of a min-plus potential over coalitions,
+
+    P(∅) = 0,    P(C) = v(C) + min_{i∈C} P(C∖i),    r_i(C) = P(C) − P(C∖i),
+
+the ``min`` analogue of the Hart–Mas-Colell potential behind Shapley values
+(Econometrica 57(3), 1989). The efficient player k of C is the
+lowest-index argmin, so r_k(C) = v(C). The solver computes P in one pass
+over coalitions in ascending mask order and fills every other member's
+entry from k's row, as v(C) − r_k(C∖i) + r_i(C∖k), which equals
+P(C) − P(C∖i) in exact arithmetic. In float mode that expression keeps the
+rounding relative to v(C), whereas the difference of two potentials
+rounds relative to P, which grows to about n·v(N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .errors import BadAnchorError, DimensionMismatchError, OutOfRangeError
-from .games import Game, Scalar, coalitions_by_size, members
+from .errors import DimensionMismatchError, OutOfRangeError
+from .games import Game, Scalar, members
 
 # Maps each coalition of size >= 2 to the member whose reward equals the
 # coalition's full value.
@@ -91,55 +96,37 @@ class SolveResult(NamedTuple):
     efficient_player: EfficientPlayerMap
 
 
-def lowest_member_anchor(coalition: int) -> int:
-    return (coalition & -coalition).bit_length() - 1
+def _fill_down_set(game: Game, top: int) -> tuple[list[list[Scalar]], EfficientPlayerMap]:
+    """Reward rows filled for every submask of ``top``, and their efficient
+    players; entries of coalitions outside that down-set keep solo values.
 
-
-def highest_member_anchor(coalition: int) -> int:
-    return coalition.bit_length() - 1
-
-
-def _solve(
-    game: Game,
-    anchor_of: Callable[[int], int],
-    pick_k: Callable[[int, dict[int, Scalar]], int] | None = None,
-) -> SolveResult:
+    One pass over the submasks in ascending mask order, so every C∖i is
+    done before C. Each entry depends only on its coalition's own
+    submasks, so it comes out the same whatever ``top`` contains it.
+    """
     v = game.values
     n = game.n_players
     # Non-members always keep their solo value, and in coalitions of size
     # <= 1 every player's reward is their solo value, so seed the whole
     # table with solo values and only overwrite members of larger coalitions.
     rows = [[v[1 << i]] * (1 << n) for i in range(n)]
+    p = [v[0]] * (1 << n)
     efficient: EfficientPlayerMap = {}
-
-    for mask in coalitions_by_size(n, min_size=2):
+    mask = 0
+    while mask != top:
+        mask = (mask - top) & top  # the next submask of top
         mem = members(mask)
-        j = anchor_of(mask)
-        if j not in mem:
-            raise BadAnchorError(
-                f"anchor {j} is not a member of coalition mask {mask}"
-            )
-        scores: dict[int, Scalar] = {j: v[mask]}
-        for i in mem:
-            if i != j:
-                scores[i] = scores[j] - rows[j][mask ^ (1 << i)] + rows[i][mask ^ (1 << j)]
-        if pick_k is None:
-            best = max(scores.values())
-            k = next(i for i in mem if scores[i] == best)
-        else:
-            k = pick_k(mask, dict(scores))
-            if k not in mem or any(scores[i] > scores[k] for i in mem):
-                raise BadAnchorError(
-                    f"pick_k must return a maximizing member for mask {mask}, got {k}"
-                )
-        rows[k][mask] = v[mask]
+        k = min(mem, key=lambda i: p[mask ^ (1 << i)])
+        v_c = v[mask]
+        p[mask] = v_c + p[mask ^ (1 << k)]
+        if len(mem) < 2:
+            continue
+        efficient[mask] = k
+        rows[k][mask] = v_c
         for i in mem:
             if i != k:
-                rows[i][mask] = v[mask] - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
-        efficient[mask] = k
-
-    matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
-    return SolveResult(matrix, efficient)
+                rows[i][mask] = v_c - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
+    return rows, efficient
 
 
 def solve(game: Game) -> SolveResult:
@@ -148,15 +135,5 @@ def solve(game: Game) -> SolveResult:
     Deterministic: equal games give entrywise-equal matrices. In exact mode
     every entry is a Fraction; in float mode, a float.
     """
-    return _solve(game, lowest_member_anchor)
-
-
-def solve_with_anchor(game: Game, anchor_choice: Callable[[int], int]) -> RewardMatrix:
-    """Solve with a caller-supplied anchor member per coalition.
-
-    ``anchor_choice(mask)`` must return a member of the coalition; anything
-    else raises BadAnchorError. The anchor only seeds the internal scoring
-    pass, so the returned matrix is identical to ``solve(game).matrix`` for
-    every valid choice.
-    """
-    return _solve(game, anchor_choice).matrix
+    rows, efficient = _fill_down_set(game, game.grand_coalition)
+    return SolveResult(RewardMatrix(game.n_players, tuple(map(tuple, rows))), efficient)

@@ -6,20 +6,27 @@ an all-pairs subset scan, and witness re-evaluation recomputes the
 violated condition straight from the table entries the witness names.
 The R1-R5 and F5 checkers in ``TABLE_CHECKS`` compare the table entries
 themselves through ``Tolerance``, with no common-denominator scaling.
+``anchored_solve`` is the solver's former anchor-and-score pass, which
+never forms the potential: it crowns each coalition's efficient player by
+the rewards reciprocity would force from a caller-chosen anchor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Callable
 
 from fairshare import (
     CheckResult,
     DimensionMismatchError,
     Game,
     RewardMatrix,
+    Scalar,
+    SolveResult,
     Tolerance,
     Verdict,
+    coalitions_by_size,
     default_tolerance,
     members,
     random_monotone_game,
@@ -33,6 +40,62 @@ def random_games(sizes, per_size, seed0=0, max_increment=10):
         for _ in range(per_size):
             yield random_monotone_game(n, seed, max_increment)
             seed += 1
+
+
+def lowest_member_anchor(coalition: int) -> int:
+    return (coalition & -coalition).bit_length() - 1
+
+
+def highest_member_anchor(coalition: int) -> int:
+    return coalition.bit_length() - 1
+
+
+def anchored_solve(
+    game: Game,
+    anchor_of: Callable[[int], int],
+    pick_k: Callable[[int, dict[int, Scalar]], int] | None = None,
+) -> SolveResult:
+    """The balanced table built level by level from a provisional anchor.
+
+    For each coalition, ``anchor_of(mask)`` names a member j; every member
+    is scored by the reward reciprocity would force from j's row, and the
+    highest-scoring member k (lowest index on ties, or ``pick_k``'s choice
+    among the maximizers) gets the full value. ValueError when the anchor
+    is not a member or ``pick_k`` returns a non-maximizer.
+    """
+    v = game.values
+    n = game.n_players
+    rows = [[v[1 << i]] * (1 << n) for i in range(n)]
+    efficient: dict[int, int] = {}
+
+    for mask in coalitions_by_size(n, min_size=2):
+        mem = members(mask)
+        j = anchor_of(mask)
+        if j not in mem:
+            raise ValueError(
+                f"anchor {j} is not a member of coalition mask {mask}"
+            )
+        scores: dict[int, Scalar] = {j: v[mask]}
+        for i in mem:
+            if i != j:
+                scores[i] = scores[j] - rows[j][mask ^ (1 << i)] + rows[i][mask ^ (1 << j)]
+        if pick_k is None:
+            best = max(scores.values())
+            k = next(i for i in mem if scores[i] == best)
+        else:
+            k = pick_k(mask, dict(scores))
+            if k not in mem or any(scores[i] > scores[k] for i in mem):
+                raise ValueError(
+                    f"pick_k must return a maximizing member for mask {mask}, got {k}"
+                )
+        rows[k][mask] = v[mask]
+        for i in mem:
+            if i != k:
+                rows[i][mask] = v[mask] - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
+        efficient[mask] = k
+
+    matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
+    return SolveResult(matrix, efficient)
 
 
 def shapley_by_permutations(game: Game, coalition: int) -> dict:

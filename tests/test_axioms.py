@@ -258,6 +258,8 @@ class TestStrictMonotonicityPair:
             check_strict_monotonicity_pair(example1, additive_game([1, 2]), 0, 0b01)
 
     def test_campaign_on_random_games(self):
+        # each game also runs in float mode; the check reads its rewards
+        # from the coalition's down-set alone, and they must be solve's
         import random
 
         rng = random.Random(99)
@@ -268,11 +270,17 @@ class TestStrictMonotonicityPair:
                 player = rng.choice(
                     [i for i in range(g.n_players) if coalition & (1 << i)]
                 )
-                bumped = raise_coalition_value(g, coalition, Fraction(rng.randint(1, 5)))
-                result = check_strict_monotonicity_pair(g, bumped, player, coalition)
-                assert result.verdict is Verdict.PASS
-                checked += 1
-        assert checked == 36
+                delta = Fraction(rng.randint(1, 5))
+                for game in (g, g.as_float()):
+                    bumped = raise_coalition_value(game, coalition, delta)
+                    result = check_strict_monotonicity_pair(game, bumped, player, coalition)
+                    assert result.verdict is Verdict.PASS
+                    before = solve(game).matrix.rewards[player][coalition]
+                    after = solve(bumped).matrix.rewards[player][coalition]
+                    assert result.witness["reward_before"] == before
+                    assert result.witness["reward_after"] == after
+                    checked += 1
+        assert checked == 72
 
 
 @pytest.fixture(scope="module")

@@ -292,6 +292,18 @@ class TestVerify:
         assert "matches solver: yes" in result.output
         assert "candidate rows unique: yes" in result.output
 
+    def test_level_depth_accepts_float_rounding(self, runner, tmp_path):
+        # two feasible candidates of one coalition give rows that differ by
+        # rounding only, and the oracle's lowest-index row differs from
+        # solve's table by rounding only
+        path = tmp_path / "rounding.json"
+        game = random_monotone_game(4, 11, 1.0 / 3)
+        path.write_text(serialize_game(GameDocument(game, ("1", "2", "3", "4"), FLOAT)))
+        result = runner.invoke(main, ["verify", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "candidate rows unique: yes" in result.output
+        assert "matches solver: yes" in result.output
+
     def test_global_depth(self, runner, c3_path):
         result = runner.invoke(main, ["verify", str(c3_path), "--depth", "global"])
         assert result.exit_code == 0

@@ -20,6 +20,8 @@ from fairshare import (
     parse_matrix,
     parse_rho,
     serialize_game,
+    check_all,
+    random_monotone_game,
     serialize_matrix,
     solve,
 )
@@ -200,12 +202,18 @@ class TestMatrixShapes:
         assert parsed.matrix.reward(1, 0b110) == Fraction(10, 3)
         assert parsed.matrix == matrix
 
-    def test_float_matrix_round_trips_through_each_shape(self, example1):
-        matrix = solve(example1.as_float()).matrix
-        doc = MatrixDocument(matrix, default_labels(4), "float", None)
+    @pytest.mark.parametrize("k", range(-6, 13))
+    def test_float_matrix_round_trips_through_each_shape(self, k):
+        # increments of 10**k/3 are non-dyadic, so every entry needs all
+        # 17 significant digits to read back as the same float
+        game = random_monotone_game(7, k + 6, 10.0**k / 3)
+        matrix = solve(game).matrix
+        verdicts = [r.verdict for r in check_all(game, matrix)]
+        doc = MatrixDocument(matrix, default_labels(7), "float", None)
         for form in ("table", "long", "json"):
-            parsed = parse_matrix(serialize_matrix(doc, form))
-            assert parsed.matrix.as_float() == matrix
+            parsed = parse_matrix(serialize_matrix(doc, form)).matrix
+            assert parsed == matrix, form
+            assert [r.verdict for r in check_all(game, parsed)] == verdicts, form
 
     def test_table_csv_layout(self, solved_doc):
         lines = serialize_matrix(solved_doc, "table").splitlines()

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from fairshare import (
-    BadAnchorError,
     Game,
     OutOfRangeError,
     RewardMatrix,
@@ -13,10 +12,14 @@ from fairshare import (
     members,
     random_monotone_game,
     solve,
-    solve_with_anchor,
 )
-from fairshare.solver import _solve, highest_member_anchor, lowest_member_anchor
-from reference import random_games
+from fairshare.oracle import agree_up_to_rounding
+from reference import (
+    anchored_solve,
+    highest_member_anchor,
+    lowest_member_anchor,
+    random_games,
+)
 
 # Column layout: reward of players 1..4 (indices 0..3), keyed by coalition
 # mask over 1-indexed players. Derived once by hand from the recurrence and
@@ -59,8 +62,9 @@ def test_counterexample3_full_table(counterexample3):
 
 
 def test_two_player_worked_case():
-    # v = [0, 1, 2, 3]: scoring gives (3, 4), so player 2 takes the full
-    # value and player 1 ends at 3 - 2 + 1 = 2
+    # v = [0, 1, 2, 3]: P({1}) = 1 < P({2}) = 2, so player 2, whose
+    # departure leaves {1}, takes the full value; P(N) = 3 + 1 = 4, and
+    # player 1 ends at P(N) - P({2}) = 4 - 2 = 2
     matrix, efficient = solve(additive_game([1, 2]))
     assert matrix.column(0b11) == (2, 3)
     assert efficient == {0b11: 1}
@@ -113,28 +117,44 @@ def test_single_player_game():
 
 
 class TestAnchorChoice:
+    """The anchored reference pass gives solve's answer for any anchor."""
+
     def test_lowest_and_highest_agree(self):
         for g in random_games([2, 3, 4, 5], 3, seed0=100):
-            expected = solve(g).matrix
-            assert solve_with_anchor(g, lowest_member_anchor) == expected
-            assert solve_with_anchor(g, highest_member_anchor) == expected
+            expected = solve(g)
+            assert anchored_solve(g, lowest_member_anchor) == expected
+            assert anchored_solve(g, highest_member_anchor) == expected
 
     def test_seeded_random_anchor_agrees(self):
         import random
 
         rng = random.Random(0)
         g = random_monotone_game(5, 23, 10)
-        expected = solve(g).matrix
+        expected = solve(g)
 
         def random_anchor(mask):
             return rng.choice(members(mask))
 
         for _ in range(5):
-            assert solve_with_anchor(g, random_anchor) == expected
+            assert anchored_solve(g, random_anchor) == expected
 
     def test_invalid_anchor_rejected(self, example1):
-        with pytest.raises(BadAnchorError):
-            solve_with_anchor(example1, lambda mask: 0 if mask != 0b0110 else 3)
+        with pytest.raises(ValueError):
+            anchored_solve(example1, lambda mask: 0 if mask != 0b0110 else 3)
+
+    def test_float_games_agree_up_to_rounding(self):
+        # float argmins of P may fall the other way on near-ties, which
+        # moves entries by rounding only; the crowned player still gets
+        # exactly the coalition value
+        for k in range(-6, 13):
+            for n in range(2, 8):
+                g = random_monotone_game(n, 100 * k + n, 10.0**k / 3)
+                matrix, efficient = solve(g)
+                assert agree_up_to_rounding(
+                    g, matrix, anchored_solve(g, lowest_member_anchor).matrix
+                ), (n, k)
+                for mask, i in efficient.items():
+                    assert matrix.rewards[i][mask] == g.value(mask)
 
 
 class TestTieBreaking:
@@ -149,7 +169,7 @@ class TestTieBreaking:
                 ties[mask] = tied
             return tied[0]
 
-        _solve(game, lowest_member_anchor, pick_k=capture)
+        anchored_solve(game, lowest_member_anchor, pick_k=capture)
         return ties
 
     def test_forcing_any_tied_maximizer_gives_same_matrix(self, example1):
@@ -160,7 +180,7 @@ class TestTieBreaking:
             random_monotone_game(4, 2, 4),
         ]
         for g in games:
-            expected = solve(g).matrix
+            expected = solve(g)
             ties = self.tie_sets(g)
             for mask, tied in ties.items():
                 for forced in tied:
@@ -170,16 +190,21 @@ class TestTieBreaking:
                         best = max(scores.values())
                         return next(i for i, s in scores.items() if s == best)
 
-                    got = _solve(g, lowest_member_anchor, pick_k=pick).matrix
-                    assert got == expected, (g, mask, forced)
+                    got = anchored_solve(g, lowest_member_anchor, pick_k=pick)
+                    assert got.matrix == expected.matrix, (g, mask, forced)
+                    assert got.efficient_player == {
+                        **expected.efficient_player, mask: forced
+                    }
 
     def test_example1_has_the_known_tie(self, example1):
         # players 1 and 3 tie in coalition {1,3}
         assert self.tie_sets(example1) == {0b0101: [0, 2]}
 
     def test_forced_nonmaximizer_rejected(self, example1):
-        with pytest.raises(BadAnchorError):
-            _solve(example1, lowest_member_anchor, pick_k=lambda m, s: min(s, key=s.get))
+        with pytest.raises(ValueError):
+            anchored_solve(
+                example1, lowest_member_anchor, pick_k=lambda m, s: min(s, key=s.get)
+            )
 
 
 def test_crowned_member_dominates_handovers():
