@@ -18,15 +18,13 @@ the premise holds, then verify the conclusion only there.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
-from .games import Game, Scalar, members, submasks
+from .games import Game, Scalar, _common_denominator, _scaled, members, submasks
 from .solver import RewardMatrix, _fill_down_set
 
 DEFAULT_EPSILON = 1e-9
@@ -148,12 +146,6 @@ def _require_same_shape(game: Game, matrix: RewardMatrix) -> None:
         )
 
 
-# Past this many bits the common denominator is dropped and the exact checks
-# compare the Fractions themselves: a table with thousands of distinct prime
-# denominators would otherwise scale every entry to an enormous integer.
-_MAX_DENOMINATOR_BITS = 256
-
-
 class _Numbers(NamedTuple):
     """Game values and reward rows as the R1-R5 and F5 checkers compare them.
 
@@ -171,26 +163,6 @@ class _Numbers(NamedTuple):
     def unscale(self, x):
         """A compared number as the entry it came from (for witnesses)."""
         return x if self.denominator is None else Fraction(x, self.denominator)
-
-
-def _common_denominator(seqs) -> int | None:
-    """Least common denominator of every number, or None when one is not a
-    Fraction or the denominator would pass ``_MAX_DENOMINATOR_BITS``."""
-    denominators = set()
-    for seq in seqs:
-        if set(map(type, seq)) != {Fraction}:
-            return None
-        denominators.update(map(attrgetter("denominator"), seq))
-    d = 1
-    for q in denominators:
-        d = math.lcm(d, q)
-        if d.bit_length() > _MAX_DENOMINATOR_BITS:
-            return None
-    return d
-
-
-def _scaled(seq: Sequence[Fraction], d: int) -> list[int]:
-    return [p * (d // q) for p, q in map(Fraction.as_integer_ratio, seq)]
 
 
 class _Operands:

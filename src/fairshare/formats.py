@@ -37,6 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import FileFormatError, NotMonotoneError
 from .games import Game, Scalar, members
@@ -54,8 +55,30 @@ def coalition_key(labels: tuple[str, ...], mask: int) -> str:
     return ",".join(sorted(labels[i] for i in members(mask)))
 
 
-def _canonical_key_order(labels: tuple[str, ...], masks) -> list[int]:
-    return sorted(masks, key=lambda m: (m.bit_count(), coalition_key(labels, m)))
+def _coalition_keys(labels: tuple[str, ...]) -> list[str]:
+    """``coalition_key(labels, mask)`` for every mask, one join each.
+
+    Masks are walked over the players in label order, where adding the
+    last-sorted member appends its label to the key of the rest.
+    """
+    width = 1 << len(labels)
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    sorted_keys = [""] * width
+    mask_of = [0] * width
+    keys = [""] * width
+    for r in range(1, width):
+        top = r.bit_length() - 1
+        rest = r ^ 1 << top
+        player = by_label[top]
+        key = sorted_keys[rest] + "," + labels[player] if rest else labels[player]
+        sorted_keys[r] = key
+        mask = mask_of[r] = mask_of[rest] | 1 << player
+        keys[mask] = key
+    return keys
+
+
+def _canonical_key_order(keys: list[str], masks) -> list[int]:
+    return sorted(masks, key=lambda m: (m.bit_count(), keys[m]))
 
 
 @dataclass(frozen=True)
@@ -88,7 +111,8 @@ def _check_labels(labels) -> tuple[str, ...]:
         raise FileFormatError('"players" must be a positive count or a list of labels')
     out = []
     for lab in labels:
-        if not isinstance(lab, str) or not lab or "," in lab or lab != lab.strip():
+        # type(), not isinstance(): a JSON number's text is a str subclass
+        if type(lab) is not str or not lab or "," in lab or lab != lab.strip():
             raise FileFormatError(f"bad player label {lab!r}")
         out.append(lab)
     if len(set(out)) != len(out):
@@ -134,25 +158,49 @@ def _fraction(token: str) -> Fraction:
     return Fraction(token)
 
 
+class _JsonDecimal(str):
+    """The text of a JSON number with a fraction or an exponent.
+
+    ``_json_loads`` keeps it as text, so that ``_parse_number`` converts it
+    once, by the document's number mode, and can still tell it from a JSON
+    string.
+    """
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
 def _parse_number(raw, mode: str) -> Scalar:
-    """One JSON number; raises ValueError when it is not a number."""
+    """One JSON number; raises ValueError when it is not a finite number.
+
+    Float mode gives the double nearest the exact value, rational mode the
+    exact value itself.
+    """
+    if type(raw) is _JsonDecimal:
+        if mode != FLOAT:
+            return Fraction(raw)
+        x = float(raw)
+        if not x:
+            # float() keeps the sign of "-0.0"; its exact value has none
+            return float(Fraction(raw))
+        if not math.isfinite(x):
+            raise ValueError
+        return x
     if isinstance(raw, str):
         try:
             value = _fraction(raw.strip())
         except ZeroDivisionError:
             raise ValueError from None
-    # json.loads is configured to hand decimals over as exact Fractions
-    elif isinstance(raw, (int, Fraction)) and not isinstance(raw, bool):
+    elif isinstance(raw, int) and not isinstance(raw, bool):
         value = Fraction(raw)
     else:
         raise ValueError
-    return float(value) if mode == FLOAT else value
-
-
-def _render_number(x: Scalar) -> int | str | float:
-    if isinstance(x, float):
-        return x
-    return int(x) if x.denominator == 1 else str(x)
+    if mode != FLOAT:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError from None
 
 
 def _json_loads(text: str):
@@ -168,7 +216,7 @@ def _json_loads(text: str):
 
     try:
         return json.loads(
-            text, parse_float=Fraction, object_pairs_hook=reject_duplicates
+            text, parse_float=_JsonDecimal, object_pairs_hook=reject_duplicates
         )
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
@@ -225,22 +273,51 @@ def parse_game(text: str) -> GameDocument:
     return GameDocument(game, labels, mode)
 
 
+# The canonical JSON shapes are written directly, as json.dumps(indent=2)
+# writes them; json.dumps itself would run its pure-Python encoder over a
+# dict per coalition.
+_json_string = json.encoder.encode_basestring_ascii
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x: Scalar) -> str:
+    """A number as JSON: an int, a quoted "p/q", or a float's repr."""
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _NON_FINITE.get(text, text)
+    p, q = x.as_integer_ratio()
+    return repr(p) if q == 1 else f'"{p}/{q}"'
+
+
+def _json_block(brackets: str, lines, indent: str) -> str:
+    """A JSON object or array with one rendered member per line, nested at
+    ``indent``; an empty one stays on one line."""
+    body = (",\n  " + indent).join(lines)
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n  {indent}{body}\n{indent}{brackets[1]}"
+
+
+def _json_players(labels: tuple[str, ...]) -> str:
+    """The "players" field: a count for the default labels, else the list."""
+    if labels == default_labels(len(labels)):
+        return f'"players": {len(labels)}'
+    return '"players": ' + _json_block("[]", map(_json_string, labels), "  ")
+
+
 def serialize_game(doc: GameDocument) -> str:
     """Canonical, byte-stable JSON for a game document."""
     labels = doc.labels
-    game = doc.game
-    out: dict = {}
-    if labels == default_labels(game.n_players):
-        out["players"] = game.n_players
-    else:
-        out["players"] = list(labels)
+    values = doc.game.values
+    keys = _coalition_keys(labels)
+    fields = [_json_players(labels)]
     if doc.number_mode == FLOAT:
-        out["number_mode"] = FLOAT
-    values = {}
-    for mask in _canonical_key_order(labels, range(1, game.num_coalitions)):
-        values[coalition_key(labels, mask)] = _render_number(game.values[mask])
-    out["values"] = values
-    return json.dumps(out, indent=2) + "\n"
+        fields.append(f'"number_mode": "{FLOAT}"')
+    order = _canonical_key_order(keys, range(1, len(values)))
+    lines = (f"{_json_string(keys[m])}: {_json_number(values[m])}" for m in order)
+    fields.append('"values": ' + _json_block("{}", lines, "  "))
+    return _json_block("{}", fields, "") + "\n"
 
 
 def format_scalar(x: Scalar) -> str:
@@ -256,44 +333,44 @@ def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
     matrix = doc.matrix
     if len(labels) != matrix.n_players:
         raise FileFormatError("label count does not match the matrix")
-    order = _canonical_key_order(labels, range(matrix.num_coalitions))
+    keys = _coalition_keys(labels)
+    order = _canonical_key_order(keys, range(matrix.num_coalitions))
+    rows = matrix.rewards
 
     if form == "json":
-        out: dict = {}
-        if labels == default_labels(matrix.n_players):
-            out["players"] = matrix.n_players
-        else:
-            out["players"] = list(labels)
-        out["number_mode"] = RATIONAL if matrix.exact else FLOAT
-        out["rewards"] = {
-            coalition_key(labels, mask): {
-                labels[i]: _render_number(matrix.rewards[i][mask])
-                for i in range(matrix.n_players)
-            }
-            for mask in order
-        }
-        if doc.efficient_player is not None:
-            out["efficient_player"] = {
-                coalition_key(labels, mask): labels[doc.efficient_player[mask]]
-                for mask in _canonical_key_order(labels, doc.efficient_player)
-            }
-        return json.dumps(out, indent=2) + "\n"
+        json_keys = list(map(_json_string, keys))
+        players = [_json_string(lab) + ": " for lab in labels]
+        # cells[mask] holds one '"label": number' line per player
+        rendered = ([p + _json_number(x) for x in row] for p, row in zip(players, rows))
+        cells = list(zip(*rendered))
+        rewards = (f"{json_keys[m]}: {_json_block('{}', cells[m], '    ')}" for m in order)
+        fields = [
+            _json_players(labels),
+            f'"number_mode": "{RATIONAL if matrix.exact else FLOAT}"',
+            '"rewards": ' + _json_block("{}", rewards, "  "),
+        ]
+        efficient = doc.efficient_player
+        if efficient is not None:
+            lines = (
+                f"{json_keys[m]}: {_json_string(labels[efficient[m]])}"
+                for m in _canonical_key_order(keys, efficient)
+            )
+            fields.append('"efficient_player": ' + _json_block("{}", lines, "  "))
+        return _json_block("{}", fields, "") + "\n"
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if form == "table":
-        writer.writerow(["player"] + [coalition_key(labels, m) for m in order])
-        for i in range(matrix.n_players):
-            writer.writerow(
-                [labels[i]] + [str(matrix.rewards[i][m]) for m in order]
-            )
+        writer.writerow(["player", *(keys[m] for m in order)])
+        for lab, row in zip(labels, rows):
+            writer.writerow([lab, *map(str, map(row.__getitem__, order))])
     elif form == "long":
         writer.writerow(["player", "coalition", "reward"])
-        for i in range(matrix.n_players):
-            for mask in order:
-                writer.writerow(
-                    [labels[i], coalition_key(labels, mask), str(matrix.rewards[i][mask])]
-                )
+        ordered_keys = [keys[m] for m in order]
+        for lab, row in zip(labels, rows):
+            writer.writerows(
+                zip(repeat(lab), ordered_keys, map(str, map(row.__getitem__, order)))
+            )
     else:
         raise FileFormatError(f'unknown format {form!r}; expected table, long, or json')
     return buf.getvalue()
@@ -320,6 +397,23 @@ def _csv_number_error(token: str, where: str) -> FileFormatError:
     return FileFormatError(f"bad number for {where}: {token!r}")
 
 
+def _first_cell(rows, bad) -> tuple[int, int]:
+    """(player, mask) of the first cell, row by row, for which ``bad`` holds."""
+    return next((i, m) for i, row in enumerate(rows) for m, x in enumerate(row) if bad(x))
+
+
+def _cell_name(labels: tuple[str, ...], i: int, mask: int) -> str:
+    return f"player {labels[i]!r}, coalition {coalition_key(labels, mask)!r}"
+
+
+def _fits_float(x) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
 def _finish_matrix(
     labels: tuple[str, ...],
     rows: list[list[Scalar | None]],
@@ -329,16 +423,18 @@ def _finish_matrix(
     """Build the matrix from per-player rows in which None marks a missing cell."""
     types = set().union(*(map(type, row) for row in rows))
     if type(None) in types:
-        i, m = next(
-            (i, m) for i, row in enumerate(rows) for m, x in enumerate(row) if x is None
-        )
-        raise FileFormatError(
-            f"missing reward for player {labels[i]!r}, coalition "
-            f"{coalition_key(labels, m)!r}"
-        )
+        i, m = _first_cell(rows, lambda x: x is None)
+        raise FileFormatError(f"missing reward for {_cell_name(labels, i, m)}")
     is_float = number_mode == FLOAT or float in types
     if is_float and types != {float}:
-        rows = [[float(x) for x in row] for row in rows]
+        try:
+            rows = [[float(x) for x in row] for row in rows]
+        except OverflowError:
+            i, m = _first_cell(rows, lambda x: not _fits_float(x))
+            raise FileFormatError(
+                f"bad number for {_cell_name(labels, i, m)}: {rows[i][m]} is too large "
+                "for a float"
+            ) from None
     return MatrixDocument(
         RewardMatrix(len(labels), tuple(map(tuple, rows))),
         labels,
@@ -389,7 +485,7 @@ def _parse_matrix_json(doc: dict) -> MatrixDocument:
             raise FileFormatError('"efficient_player" must be an object')
         for key, lab in raw_map.items():
             mask = _parse_coalition_key(key, index_of)
-            if not isinstance(lab, str) or lab not in index_of:
+            if type(lab) is not str or lab not in index_of:
                 raise FileFormatError(f"unknown player label {lab!r}")
             efficient[mask] = index_of[lab]
     return _finish_matrix(labels, rows, mode, efficient)

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -78,12 +79,42 @@ def _coerce_values(raw: Sequence) -> tuple[Scalar, ...]:
     if any(isinstance(x, float) for x in raw):
         out = []
         for x in raw:
-            x = float(x)
+            try:
+                x = float(x)
+            except OverflowError:  # too large for a float: rejected below
+                x = math.inf
             if not math.isfinite(x):
                 raise NegativeValueError("values must be finite numbers")
             out.append(x)
         return tuple(out)
-    return tuple(Fraction(x) for x in raw)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in raw)
+
+
+# Past this many bits the common denominator is dropped and exact
+# comparisons run on the Fractions themselves: a table with thousands of
+# distinct prime denominators would otherwise scale every entry to an
+# enormous integer.
+_MAX_DENOMINATOR_BITS = 256
+
+
+def _common_denominator(seqs) -> int | None:
+    """Least common denominator of every number, or None when one is not a
+    Fraction or the denominator would pass ``_MAX_DENOMINATOR_BITS``."""
+    denominators = set()
+    for seq in seqs:
+        if set(map(type, seq)) != {Fraction}:
+            return None
+        denominators.update(map(attrgetter("denominator"), seq))
+    d = 1
+    for q in denominators:
+        d = math.lcm(d, q)
+        if d.bit_length() > _MAX_DENOMINATOR_BITS:
+            return None
+    return d
+
+
+def _scaled(seq: Sequence[Fraction], d: int) -> list[int]:
+    return [p * (d // q) for p, q in map(Fraction.as_integer_ratio, seq)]
 
 
 def first_monotonicity_violation(values: Sequence[Scalar]) -> tuple[int, int] | None:
@@ -135,12 +166,18 @@ class Game:
                 f"expected {1 << self.n_players} values for {self.n_players} players, "
                 f"got {len(values)}"
             )
-        if values[0] != 0:
+        # Exact values are compared as ints over their common denominator,
+        # which keeps every < and != of the Fractions.
+        d = _common_denominator((values,))
+        compared = values if d is None else _scaled(values, d)
+        if compared[0] != 0:
             raise EmptyNotZeroError("the empty coalition must have value 0")
-        for mask, x in enumerate(values):
+        for mask, x in enumerate(compared):
             if x < 0:
-                raise NegativeValueError(f"coalition mask {mask} has negative value {x}")
-        violation = first_monotonicity_violation(values)
+                raise NegativeValueError(
+                    f"coalition mask {mask} has negative value {values[mask]}"
+                )
+        violation = first_monotonicity_violation(compared)
         if violation is not None:
             raise NotMonotoneError(*violation)
 

@@ -9,10 +9,17 @@ themselves through ``Tolerance``, with no common-denominator scaling.
 ``anchored_solve`` is the solver's former anchor-and-score pass, which
 never forms the potential: it crowns each coalition's efficient player by
 the rewards reciprocity would force from a caller-chosen anchor.
+``dumps_game`` and ``dumps_matrix`` are the former serializers, which
+rendered through nested dicts, ``json.dumps(indent=2)`` and one
+``coalition_key`` call per entry. ``check_game_values`` is ``Game``'s
+former sign and monotonicity scan on the Fractions themselves.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable
@@ -20,13 +27,20 @@ from typing import Callable
 from fairshare import (
     CheckResult,
     DimensionMismatchError,
+    EmptyNotZeroError,
     Game,
+    GameDocument,
+    MatrixDocument,
+    NegativeValueError,
+    NotMonotoneError,
     RewardMatrix,
     Scalar,
     SolveResult,
     Tolerance,
     Verdict,
+    coalition_key,
     coalitions_by_size,
+    default_labels,
     default_tolerance,
     members,
     random_monotone_game,
@@ -376,3 +390,85 @@ TABLE_CHECKS = {
     "R5": check_nonparticipation,
     "F5": check_balanced_reciprocity,
 }
+
+
+def _render_number(x: Scalar) -> int | str | float:
+    if isinstance(x, float):
+        return x
+    return int(x) if x.denominator == 1 else str(x)
+
+
+def _canonical_order(labels: tuple[str, ...], masks) -> list[int]:
+    return sorted(masks, key=lambda m: (m.bit_count(), coalition_key(labels, m)))
+
+
+def _players_field(labels: tuple[str, ...]):
+    return len(labels) if labels == default_labels(len(labels)) else list(labels)
+
+
+def dumps_game(doc: GameDocument) -> str:
+    """A game document as the former ``serialize_game`` wrote it."""
+    labels, game = doc.labels, doc.game
+    out: dict = {"players": _players_field(labels)}
+    if doc.number_mode == "float":
+        out["number_mode"] = "float"
+    out["values"] = {
+        coalition_key(labels, mask): _render_number(game.values[mask])
+        for mask in _canonical_order(labels, range(1, game.num_coalitions))
+    }
+    return json.dumps(out, indent=2) + "\n"
+
+
+def dumps_matrix(doc: MatrixDocument, form: str) -> str:
+    """A reward table as the former ``serialize_matrix`` wrote it."""
+    labels, matrix = doc.labels, doc.matrix
+    order = _canonical_order(labels, range(matrix.num_coalitions))
+    if form == "json":
+        out: dict = {
+            "players": _players_field(labels),
+            "number_mode": "rational" if matrix.exact else "float",
+            "rewards": {
+                coalition_key(labels, mask): {
+                    labels[i]: _render_number(matrix.rewards[i][mask])
+                    for i in range(matrix.n_players)
+                }
+                for mask in order
+            },
+        }
+        if doc.efficient_player is not None:
+            out["efficient_player"] = {
+                coalition_key(labels, mask): labels[doc.efficient_player[mask]]
+                for mask in _canonical_order(labels, doc.efficient_player)
+            }
+        return json.dumps(out, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if form == "table":
+        writer.writerow(["player"] + [coalition_key(labels, m) for m in order])
+        for i in range(matrix.n_players):
+            writer.writerow([labels[i]] + [str(matrix.rewards[i][m]) for m in order])
+    else:
+        writer.writerow(["player", "coalition", "reward"])
+        for i in range(matrix.n_players):
+            for mask in order:
+                writer.writerow(
+                    [labels[i], coalition_key(labels, mask), str(matrix.rewards[i][mask])]
+                )
+    return buf.getvalue()
+
+
+def check_game_values(values) -> None:
+    """Raise what ``Game`` raises for a bad value table of the right length.
+
+    Runs the sign checks and the first-violation monotonicity scan
+    (ascending mask, then ascending player) on the values as given.
+    """
+    if values[0] != 0:
+        raise EmptyNotZeroError("the empty coalition must have value 0")
+    for mask, x in enumerate(values):
+        if x < 0:
+            raise NegativeValueError(f"coalition mask {mask} has negative value {x}")
+    for mask in range(len(values)):
+        for i in members(mask):
+            if values[mask ^ (1 << i)] > values[mask]:
+                raise NotMonotoneError(mask ^ (1 << i), mask)

@@ -34,7 +34,8 @@ from fairshare import (
     symmetric_pairs,
     useless_players,
 )
-from fairshare.axioms import _MAX_DENOMINATOR_BITS, _Operands
+from fairshare.axioms import _Operands
+from fairshare.games import _MAX_DENOMINATOR_BITS
 from reference import TABLE_CHECKS, random_games, violation_reproduces
 
 

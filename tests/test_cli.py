@@ -128,6 +128,16 @@ class TestSolve:
         assert result.exit_code == 1
         assert "{1} is worth more than its superset {1,2}" in result.stderr
 
+    def test_float_overflow_exits_1_naming_the_coalition(self, runner, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"players": 2, "number_mode": "float", '
+            '"values": {"1": 1e400, "2": 0, "1,2": 1e400}}'
+        )
+        result = runner.invoke(main, ["solve", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: bad number for coalition '1': 1e400\n"
+
     def test_bad_format_exits_1(self, runner, c3_path):
         result = runner.invoke(main, ["solve", str(c3_path), "--format", "yaml"])
         assert result.exit_code == 1

@@ -11,6 +11,7 @@ from fairshare import (
     FileFormatError,
     GameDocument,
     MatrixDocument,
+    NegativeValueError,
     NotMonotoneError,
     align_matrix_labels,
     coalition_key,
@@ -25,6 +26,7 @@ from fairshare import (
     serialize_matrix,
     solve,
 )
+from reference import dumps_game, dumps_matrix
 
 
 def game_text(values: dict, players=None, mode=None) -> str:
@@ -115,7 +117,7 @@ class TestGameParseErrors:
             parse_game(text)
 
     def test_bad_players_field(self):
-        for players in (0, -3, True, ["a", "a"], ["a,b"], [" a"], [""], [1]):
+        for players in (0, -3, True, ["a", "a"], ["a,b"], [" a"], [""], [1], [1.5]):
             with pytest.raises(FileFormatError):
                 parse_game(game_text({"1": 1}, players=players))
 
@@ -266,6 +268,15 @@ class TestMatrixParseErrors:
         with pytest.raises(FileFormatError, match="unknown field"):
             parse_matrix('{"players": 1, "rewards": {}, "extra": 0}')
 
+    def test_json_efficient_player_must_be_a_label_string(self):
+        text = (
+            '{"players": ["1.5"], "rewards": {"": {"1.5": 1}, "1.5": {"1.5": 1}}, '
+            '"efficient_player": {"1.5": 1.5}}'
+        )
+        with pytest.raises(FileFormatError, match="unknown player label 1.5"):
+            parse_matrix(text)
+        assert parse_matrix(text.replace(": 1.5}}", ': "1.5"}}')).efficient_player == {1: 0}
+
     def test_json_unknown_player_in_rewards(self):
         text = '{"players": 1, "rewards": {"": {"1": 0, "2": 1}, "1": {"1": 1}}}'
         with pytest.raises(FileFormatError, match="unknown player label '2'"):
@@ -311,6 +322,179 @@ class TestNumberTokens:
         value = parse_matrix(text).matrix.reward(0, 0b0011)
         assert type(value) is Fraction
         assert value == expected
+
+
+# Tokens whose float reading is delicate: subnormals, underflow to zero,
+# the largest double, a signed zero and an upper-case exponent.
+FLOAT_TOKENS = ["0.1", "1e-320", "2.5e-324", "1e-400", "1.7976931348623157e308", "-0.0", "1E5"]
+
+
+def _is_json_number(token: str) -> bool:
+    try:
+        return isinstance(json.loads(token), (int, float))
+    except ValueError:
+        return False
+
+
+def _bits(x):
+    """A parsed number by type and exact value; tells -0.0 from 0.0."""
+    return ("float", x.hex()) if isinstance(x, float) else (type(x).__name__, x)
+
+
+def _expected(exact_text: str, mode: str):
+    """What Fraction(text), then float() in float mode, gives; None where
+    that raises."""
+    try:
+        value = Fraction(exact_text)
+        return float(value) if mode == "float" else value
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+
+
+NUMBER_CASES = [
+    (token, carrier)
+    for token in FLOAT_TOKENS + NUMBER_TOKENS
+    for carrier in ("number", "string")
+    if carrier == "string" or _is_json_number(token)
+]
+
+
+class TestNumberModes:
+    """Each JSON number is read once by the document's mode, with the value
+    Fraction(text) gives, rounded once in float mode."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("token,carrier", NUMBER_CASES)
+    def test_reward_table_reads_the_exact_value(self, mode, token, carrier):
+        raw = token if carrier == "number" else json.dumps(token)
+        text = (
+            f'{{"players": 1, "number_mode": "{mode}", '
+            f'"rewards": {{"": {{"1": 1}}, "1": {{"1": {raw}}}}}}}'
+        )
+        expected = _expected(token if carrier == "number" else token.strip(), mode)
+        if expected is None:
+            with pytest.raises(FileFormatError, match="bad number"):
+                parse_matrix(text)
+            return
+        assert _bits(parse_matrix(text).matrix.reward(0, 1)) == _bits(expected)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("token,carrier", NUMBER_CASES)
+    def test_game_reads_the_exact_value(self, mode, token, carrier):
+        raw = token if carrier == "number" else json.dumps(token)
+        text = (
+            f'{{"players": 2, "number_mode": "{mode}", '
+            f'"values": {{"1": {raw}, "2": 0, "1,2": {raw}}}}}'
+        )
+        expected = _expected(token if carrier == "number" else token.strip(), mode)
+        if expected is None:
+            with pytest.raises(FileFormatError, match="bad number for coalition '1'"):
+                parse_game(text)
+        elif expected < 0:
+            with pytest.raises(NegativeValueError):
+                parse_game(text)
+        else:
+            assert _bits(parse_game(text).game.value(1)) == _bits(expected)
+
+
+HUGE = "1" + "0" * 400
+
+
+class TestFloatOverflow:
+    @pytest.mark.parametrize(
+        "parse,text,where",
+        [
+            (
+                parse_game,
+                '{"players": 2, "number_mode": "float", '
+                '"values": {"1": 1e400, "2": 0, "1,2": 1e400}}',
+                "coalition '1'",
+            ),
+            (
+                parse_game,
+                f'{{"players": 2, "number_mode": "float", '
+                f'"values": {{"1": {HUGE}, "2": 0, "1,2": {HUGE}}}}}',
+                "coalition '1'",
+            ),
+            (
+                parse_game,
+                f'{{"players": 2, "number_mode": "float", '
+                f'"values": {{"1": "{HUGE}/1", "2": 0, "1,2": "{HUGE}/1"}}}}',
+                "coalition '1'",
+            ),
+            (
+                parse_matrix,
+                '{"players": 1, "number_mode": "float", '
+                '"rewards": {"": {"1": 0.5}, "1": {"1": 1e400}}}',
+                "player '1' in coalition '1'",
+            ),
+            (parse_matrix, f"player,,1\n1,0.5,{HUGE}\n", "player '1', coalition '1'"),
+            (
+                parse_matrix,
+                f"player,coalition,reward\n1,,0.5\n1,1,{HUGE}\n",
+                "player '1', coalition '1'",
+            ),
+        ],
+        ids=["game-exponent", "game-integer", "game-ratio", "json-table", "table-csv", "long-csv"],
+    )
+    def test_too_large_for_a_float_is_a_bad_number(self, parse, text, where):
+        with pytest.raises(FileFormatError, match=f"bad number for {where}"):
+            parse(text)
+
+
+def _writer_cases():
+    """(id, MatrixDocument, GameDocument) pairs covering the writer's shapes."""
+    for n in range(1, 9):
+        for mode, scale in (("rational", 10), ("float", 10.0 / 3)):
+            game = random_monotone_game(n, n, scale)
+            matrix, efficient = solve(game)
+            labels = default_labels(n)
+            yield (
+                f"n{n}-{mode}",
+                MatrixDocument(matrix, labels, mode, efficient),
+                GameDocument(game, labels, mode),
+            )
+    # a quote, a backslash, non-ASCII and "10" sorting before "2"
+    labels = ('say "hi"', "back\\slash", "caf\u00e9", "10", "2", "\U0001d11e")
+    for mode, scale in (("rational", Fraction(7, 3)), ("float", 7.0 / 3)):
+        game = random_monotone_game(len(labels), 5, scale)
+        matrix, efficient = solve(game)
+        for name, eff in (("none", None), ("empty", {}), ("full", efficient)):
+            yield (
+                f"labels-{mode}-efficient-{name}",
+                MatrixDocument(matrix, labels, mode, eff),
+                GameDocument(game, labels, mode),
+            )
+    game = random_monotone_game(3, 1, 10.0)
+    matrix = solve(game).matrix.replace_entry(0, 0b011, -0.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        matrix = matrix.replace_entry(1, 0b110, bad)
+        yield (
+            f"float-signed-zero-{bad}",
+            MatrixDocument(matrix, default_labels(3), "float", None),
+            GameDocument(game, default_labels(3), "float"),
+        )
+
+
+WRITER_CASES = list(_writer_cases())
+
+
+class TestDirectWriter:
+    """The writers give the very bytes of the former dict-plus-json.dumps
+    and per-entry coalition_key rendering."""
+
+    @pytest.mark.parametrize("form", ["json", "table", "long"])
+    @pytest.mark.parametrize(
+        "mdoc,gdoc", [c[1:] for c in WRITER_CASES], ids=[c[0] for c in WRITER_CASES]
+    )
+    def test_matrix_bytes_match_the_reference(self, mdoc, gdoc, form):
+        assert serialize_matrix(mdoc, form) == dumps_matrix(mdoc, form)
+
+    @pytest.mark.parametrize(
+        "mdoc,gdoc", [c[1:] for c in WRITER_CASES], ids=[c[0] for c in WRITER_CASES]
+    )
+    def test_game_bytes_match_the_reference(self, mdoc, gdoc):
+        assert serialize_game(gdoc) == dumps_game(gdoc)
 
 
 class TestLabelAlignment:

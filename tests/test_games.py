@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from fairshare import (
     BadLengthError,
     BadParamsError,
     EmptyNotZeroError,
+    FairshareError,
     Game,
     NegativeValueError,
     NotMonotoneError,
@@ -23,7 +25,8 @@ from fairshare import (
     submasks,
     useless_players,
 )
-from reference import monotone_by_all_pairs
+from fairshare import axioms, games
+from reference import check_game_values, monotone_by_all_pairs
 
 
 def test_members_and_mask_roundtrip():
@@ -71,6 +74,10 @@ class TestGameValidation:
         with pytest.raises(NegativeValueError):
             Game(1, [0.0, float("nan")])
 
+    def test_value_too_large_for_a_float_rejected(self):
+        with pytest.raises(NegativeValueError, match="finite"):
+            Game(1, [0.0, 10**400])
+
     def test_non_monotone_rejected_with_first_violating_pair(self):
         with pytest.raises(NotMonotoneError) as exc_info:
             Game(2, [0, 3, 2, 2])
@@ -116,6 +123,76 @@ class TestIsMonotone:
             n = rng.randint(1, 4)
             table = [0] + [rng.randint(0, 6) for _ in range((1 << n) - 1)]
             assert is_monotone(table) == monotone_by_all_pairs(table)
+
+
+def _raised(build, values):
+    """Type, message and witness of what ``build(values)`` raises, or None."""
+    try:
+        build(values)
+    except FairshareError as exc:
+        return type(exc), str(exc), getattr(exc, "subset", None), getattr(exc, "superset", None)
+    return None
+
+
+def _tampered(values, rng):
+    """``values`` with one coalition pushed below a subset or below zero."""
+    values = list(values)
+    mask = rng.randrange(1, len(values))
+    if rng.random() < 0.5:
+        values[mask] = -values[mask] - Fraction(1, 3)
+    else:
+        below = max(values[mask ^ (1 << i)] for i in members(mask))
+        values[mask] = below - rng.choice([Fraction(1, 7), Fraction(5, 2)])
+    return values
+
+
+def _big_denominator_values(n, rng):
+    """Monotone exact values over distinct primes, whose common denominator
+    passes the integer scaling's bit cap."""
+    primes = [p for p in range(3, 6000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    values = [Fraction(0)] * (1 << n)
+    for mask in coalitions_by_size(n, min_size=1):
+        base = max(values[mask ^ (1 << i)] for i in members(mask))
+        values[mask] = base + Fraction(rng.randint(1, 9), primes[mask])
+    assert games._common_denominator((values,)) is None
+    return values
+
+
+class TestIntegerValidation:
+    """Game checks exact values as ints over their common denominator, with
+    the errors and witnesses of the Fraction scan in tests/reference.py."""
+
+    def test_axioms_share_the_common_denominator_helper(self):
+        assert axioms._common_denominator is games._common_denominator
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_tampered_exact_games(self, n):
+        rng = random.Random(n)
+        for seed in range(20):
+            values = _tampered(random_monotone_game(n, seed, Fraction(10, 3)).values, rng)
+            expected = _raised(check_game_values, values)
+            assert expected is not None
+            assert _raised(lambda v: Game(n, v), values) == expected
+
+    def test_denominators_past_the_cap(self):
+        rng = random.Random(11)
+        values = _big_denominator_values(8, rng)
+        assert _raised(lambda v: Game(8, v), values) is None
+        for _ in range(20):
+            bad = _tampered(values, rng)
+            expected = _raised(check_game_values, bad)
+            assert expected is not None
+            assert _raised(lambda v: Game(8, v), bad) == expected
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_float_games(self, n):
+        rng = random.Random(100 + n)
+        for seed in range(10):
+            values = random_monotone_game(n, seed, 10.0 / 3).values
+            bad = [float(x) for x in _tampered(values, rng)]
+            expected = _raised(check_game_values, bad)
+            assert expected is not None
+            assert _raised(lambda v: Game(n, v), bad) == expected
 
 
 class TestRandomMonotone:
