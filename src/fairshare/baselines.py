@@ -77,9 +77,6 @@ class RhoShapleyMatrix:
     matrix: RewardMatrix
     rho: Scalar
 
-    def reward(self, player: int, coalition: int) -> Scalar:
-        return self.matrix.reward(player, coalition)
-
 
 def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
     """Full scaled-Shapley reward table for an exponent in (0, 1].

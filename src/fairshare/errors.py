@@ -44,10 +44,6 @@ class NotMonotoneError(FairshareError):
         )
 
 
-class InvalidGameError(FairshareError):
-    """A game object failed validation."""
-
-
 class OutOfRangeError(FairshareError):
     """A player index or coalition mask is out of bounds for this object."""
 

@@ -314,8 +314,8 @@ def raise_coalition_value(game: Game, coalition: int, delta: Scalar | int) -> Ga
     """
     if not 0 < coalition <= game.grand_coalition:
         raise BadParamsError(f"coalition mask {coalition} out of range")
-    if delta <= 0:
-        raise BadParamsError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise BadParamsError("delta must be positive and finite")
     if not isinstance(delta, float):
         delta = Fraction(delta)
     raised = game.values[coalition] + delta

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .axioms import DEFAULT_EPSILON, Tolerance, _run_checks
+from .axioms import _run_checks, default_tolerance
 from .errors import NoFeasibleCandidateError, SizeLimitExceededError
 from .games import Game, Scalar, coalitions_by_size, members
 from .solver import RewardMatrix
@@ -143,7 +143,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
     v = game.values
     n = game.n_players
     big = coalitions_by_size(n, min_size=2)
-    tol = Tolerance.exact() if game.exact else Tolerance.absolute(DEFAULT_EPSILON)
+    tol = default_tolerance(game)
     ulps = _slack_ulps(game)
     # the fail-fast filter's range per coalition, [-slack, v(C) + slack]
     bounds = {mask: (-ulps * v[mask], v[mask] + ulps * v[mask]) for mask in big}

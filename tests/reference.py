@@ -4,8 +4,10 @@ Nothing here may call back into the code paths it is meant to check:
 Shapley values come from raw permutation enumeration, monotonicity from
 an all-pairs subset scan, and witness re-evaluation recomputes the
 violated condition straight from the table entries the witness names.
-The R1-R5 and F5 checkers in ``TABLE_CHECKS`` compare the table entries
-themselves through ``Tolerance``, with no common-denominator scaling.
+The R1-R5 and F5 checkers in ``TABLE_CHECKS``, the F1-F3 checkers in
+``PREMISE_CHECKS``, their premise finders and ``strict_monotonicity_pair``
+compare the entries themselves through ``Compare``, the exact-or-absolute
+comparison ``Tolerance`` once carried, with no common-denominator scaling.
 ``anchored_solve`` is the solver's former anchor-and-score pass, which
 never forms the potential: it crowns each coalition's efficient player by
 the rewards reciprocity would force from a caller-chosen anchor.
@@ -27,6 +29,7 @@ from typing import Callable
 from fairshare import (
     CheckResult,
     DimensionMismatchError,
+    OutOfRangeError,
     EmptyNotZeroError,
     Game,
     GameDocument,
@@ -41,10 +44,12 @@ from fairshare import (
     coalition_key,
     coalitions_by_size,
     default_labels,
-    default_tolerance,
     members,
     random_monotone_game,
+    solve,
+    submasks,
 )
+from fairshare.axioms import DEFAULT_EPSILON
 
 
 def random_games(sizes, per_size, seed0=0, max_increment=10):
@@ -211,7 +216,7 @@ def violation_reproduces(
 def strict_desirability_triples(game: Game):
     """Every (i, j, C, B) where strict desirability's premise holds.
 
-    The premise is the one ``check_strict_desirability`` documents: i and j
+    The premise is the one F3's checker documents: i and j
     both belong to C, i's contribution weakly dominates j's over every
     subset of N minus {i, j}, and B is the first non-empty subset of
     C minus {i, j} (ascending mask) with v(B+i) > v(B+j). Dominance is
@@ -244,6 +249,40 @@ def strict_desirability_triples(game: Game):
                     yield i, j, mask, strict_b
 
 
+class Compare:
+    """Exact comparison when ``epsilon`` is None; otherwise values within
+    epsilon are equal and "strictly greater" means greater by more than it."""
+
+    def __init__(self, epsilon: Scalar | None):
+        self.epsilon = epsilon
+
+    def eq(self, a: Scalar, b: Scalar) -> bool:
+        if self.epsilon is None:
+            return a == b
+        return abs(a - b) <= self.epsilon
+
+    def le(self, a: Scalar, b: Scalar) -> bool:
+        if self.epsilon is None:
+            return a <= b
+        return a - b <= self.epsilon
+
+    def ge(self, a: Scalar, b: Scalar) -> bool:
+        return self.le(b, a)
+
+    def gt(self, a: Scalar, b: Scalar) -> bool:
+        if self.epsilon is None:
+            return a > b
+        return a - b > self.epsilon
+
+
+def compare(tol: Tolerance | None, *tables) -> Compare:
+    """``tol``'s comparison; by default exact when every table is rational,
+    absolute 1e-9 otherwise."""
+    if tol is not None:
+        return Compare(tol.epsilon)
+    return Compare(None if all(t.exact for t in tables) else DEFAULT_EPSILON)
+
+
 def _require_same_shape(game: Game, matrix: RewardMatrix) -> None:
     if matrix.n_players != game.n_players:
         raise DimensionMismatchError(
@@ -256,7 +295,7 @@ def check_nonnegativity(
 ) -> CheckResult:
     """R1: every member's reward is nonnegative."""
     _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
+    tol = compare(tol, game, matrix)
     for mask in range(matrix.num_coalitions):
         for i in members(mask):
             r = matrix.rewards[i][mask]
@@ -274,7 +313,7 @@ def check_feasibility(
 ) -> CheckResult:
     """R2: no member's reward exceeds the coalition's value."""
     _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
+    tol = compare(tol, game, matrix)
     for mask in range(matrix.num_coalitions):
         v_c = game.values[mask]
         for i in members(mask):
@@ -293,7 +332,7 @@ def check_weak_efficiency(
 ) -> CheckResult:
     """R3: in every non-empty coalition some member gets the full value."""
     _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
+    tol = compare(tol, game, matrix)
     for mask in range(1, matrix.num_coalitions):
         v_c = game.values[mask]
         mem = members(mask)
@@ -315,7 +354,7 @@ def check_individual_rationality(
 ) -> CheckResult:
     """R4: nobody, member or not, is ever rewarded below their solo value."""
     _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
+    tol = compare(tol, game, matrix)
     for mask in range(matrix.num_coalitions):
         for i in range(game.n_players):
             r = matrix.rewards[i][mask]
@@ -334,7 +373,7 @@ def check_nonparticipation(
 ) -> CheckResult:
     """R5: non-members keep exactly their solo value."""
     _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
+    tol = compare(tol, game, matrix)
     for mask in range(matrix.num_coalitions):
         for i in range(game.n_players):
             if mask & (1 << i):
@@ -356,7 +395,7 @@ def check_balanced_reciprocity(
     """F5: within any coalition, i's gain from j joining equals j's gain
     from i joining."""
     _require_same_shape(game, matrix)
-    tol = tol or default_tolerance(game, matrix)
+    tol = compare(tol, game, matrix)
     if game.n_players < 2:
         return CheckResult("F5", Verdict.PASS_VACUOUS)
     rows = matrix.rewards
@@ -390,6 +429,235 @@ TABLE_CHECKS = {
     "R5": check_nonparticipation,
     "F5": check_balanced_reciprocity,
 }
+
+
+def useless_players(game: Game, tol: Tolerance | None = None) -> list[int]:
+    """Players whose joining never changes any coalition's value."""
+    return _useless_players(game, compare(tol, game))
+
+
+def _useless_players(game: Game, tol: Compare) -> list[int]:
+    out = []
+    for u in range(game.n_players):
+        rest = game.grand_coalition ^ (1 << u)
+        if all(
+            tol.eq(game.values[sub], game.values[sub | (1 << u)])
+            for sub in submasks(rest)
+        ):
+            out.append(u)
+    return out
+
+
+def symmetric_pairs(game: Game, tol: Tolerance | None = None) -> list[tuple[int, int]]:
+    """Unordered pairs that contribute identically to every outside coalition."""
+    return _symmetric_pairs(game, compare(tol, game))
+
+
+def _symmetric_pairs(game: Game, tol: Compare) -> list[tuple[int, int]]:
+    out = []
+    for i in range(game.n_players):
+        for j in range(i + 1, game.n_players):
+            rest = game.grand_coalition ^ (1 << i) ^ (1 << j)
+            if all(
+                tol.eq(game.values[sub | (1 << i)], game.values[sub | (1 << j)])
+                for sub in submasks(rest)
+            ):
+                out.append((i, j))
+    return out
+
+
+def desirable_pairs(game: Game, tol: Tolerance | None = None) -> list[tuple[int, int]]:
+    """Ordered pairs (i, j) where i contributes at least as much as j everywhere."""
+    return _desirable_pairs(game, compare(tol, game))
+
+
+def _desirable_pairs(game: Game, tol: Compare) -> list[tuple[int, int]]:
+    out = []
+    for i in range(game.n_players):
+        for j in range(game.n_players):
+            if i == j:
+                continue
+            rest = game.grand_coalition ^ (1 << i) ^ (1 << j)
+            if all(
+                tol.ge(game.values[sub | (1 << i)], game.values[sub | (1 << j)])
+                for sub in submasks(rest)
+            ):
+                out.append((i, j))
+    return out
+
+
+PREMISE_FINDERS = {
+    "useless_players": useless_players,
+    "symmetric_pairs": symmetric_pairs,
+    "desirable_pairs": desirable_pairs,
+}
+
+
+def check_uselessness(
+    game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
+) -> CheckResult:
+    """F1: a useless player earns nothing and changes nobody's reward."""
+    _require_same_shape(game, matrix)
+    tol = compare(tol, game, matrix)
+    useless = _useless_players(game, tol)
+    if not useless:
+        return CheckResult("F1", Verdict.PASS_VACUOUS)
+    for u in useless:
+        bit = 1 << u
+        for mask in range(matrix.num_coalitions):
+            r = matrix.rewards[u][mask]
+            if not tol.eq(r, 0):
+                return CheckResult(
+                    "F1",
+                    Verdict.FAIL,
+                    {"useless_player": u, "coalition": mask, "reward": r},
+                )
+        for mask in range(matrix.num_coalitions):
+            if mask & bit:
+                continue
+            for i in members(mask):
+                without = matrix.rewards[i][mask]
+                with_u = matrix.rewards[i][mask | bit]
+                if not tol.eq(without, with_u):
+                    return CheckResult(
+                        "F1",
+                        Verdict.FAIL,
+                        {
+                            "useless_player": u,
+                            "coalition": mask,
+                            "player": i,
+                            "reward_without": without,
+                            "reward_with": with_u,
+                        },
+                    )
+    return CheckResult("F1", Verdict.PASS)
+
+
+def check_symmetry(
+    game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
+) -> CheckResult:
+    """F2: interchangeable players get equal rewards wherever both belong."""
+    _require_same_shape(game, matrix)
+    tol = compare(tol, game, matrix)
+    pairs = _symmetric_pairs(game, tol)
+    if not pairs:
+        return CheckResult("F2", Verdict.PASS_VACUOUS)
+    for mask in range(matrix.num_coalitions):
+        for i, j in pairs:
+            if mask & (1 << i) and mask & (1 << j):
+                r_i = matrix.rewards[i][mask]
+                r_j = matrix.rewards[j][mask]
+                if not tol.eq(r_i, r_j):
+                    return CheckResult(
+                        "F2",
+                        Verdict.FAIL,
+                        {
+                            "player_i": i,
+                            "player_j": j,
+                            "coalition": mask,
+                            "reward_i": r_i,
+                            "reward_j": r_j,
+                        },
+                    )
+    return CheckResult("F2", Verdict.PASS)
+
+
+def check_strict_desirability(
+    game: Game, matrix: RewardMatrix, tol: Tolerance | None = None
+) -> CheckResult:
+    """F3: a weakly dominant player, strictly so inside the coalition, earns
+    strictly more there."""
+    _require_same_shape(game, matrix)
+    tol = compare(tol, game, matrix)
+    pairs = _desirable_pairs(game, tol)
+    applied = False
+    for mask in range(matrix.num_coalitions):
+        for i, j in pairs:
+            if not (mask & (1 << i) and mask & (1 << j)):
+                continue
+            rest = mask ^ (1 << i) ^ (1 << j)
+            strict_b = None
+            for sub in submasks(rest):
+                if sub and tol.gt(game.values[sub | (1 << i)], game.values[sub | (1 << j)]):
+                    strict_b = sub
+                    break
+            if strict_b is None:
+                continue
+            applied = True
+            r_i = matrix.rewards[i][mask]
+            r_j = matrix.rewards[j][mask]
+            if not tol.gt(r_i, r_j):
+                return CheckResult(
+                    "F3",
+                    Verdict.FAIL,
+                    {
+                        "player_i": i,
+                        "player_j": j,
+                        "coalition": mask,
+                        "strict_witness_subset": strict_b,
+                        "reward_i": r_i,
+                        "reward_j": r_j,
+                    },
+                )
+    return CheckResult("F3", Verdict.PASS if applied else Verdict.PASS_VACUOUS)
+
+
+PREMISE_CHECKS = {
+    "F1": check_uselessness,
+    "F2": check_symmetry,
+    "F3": check_strict_desirability,
+}
+
+
+def strict_monotonicity_pair(
+    game_before: Game,
+    game_after: Game,
+    player: int,
+    coalition: int,
+    tol: Tolerance | None = None,
+) -> CheckResult:
+    """F4 for one quadruple, with both rewards read from ``solve``'s tables."""
+    if game_before.n_players != game_after.n_players:
+        raise DimensionMismatchError("both games must have the same player count")
+    n = game_before.n_players
+    if not 0 <= coalition < (1 << n):
+        raise OutOfRangeError(f"coalition mask {coalition} out of range")
+    if not 0 <= player < n or not coalition & (1 << player):
+        raise OutOfRangeError(f"player {player} is not a member of the coalition")
+    tol = compare(tol, game_before, game_after)
+    v, v2 = game_before.values, game_after.values
+    bit = 1 << player
+    rest = coalition ^ bit
+
+    if not tol.gt(v2[coalition], v[coalition]):
+        return CheckResult(
+            "F4",
+            Verdict.PREMISE_NOT_MET,
+            {"reason": "coalition value did not strictly increase", "coalition": coalition},
+        )
+    for sub in submasks(rest):
+        if not tol.ge(v2[sub | bit], v[sub | bit]):
+            return CheckResult(
+                "F4",
+                Verdict.PREMISE_NOT_MET,
+                {"reason": "player's contribution dropped somewhere", "coalition": sub | bit},
+            )
+        if not tol.eq(v2[sub], v[sub]):
+            return CheckResult(
+                "F4",
+                Verdict.PREMISE_NOT_MET,
+                {"reason": "a sub-coalition without the player changed value", "coalition": sub},
+            )
+
+    before = solve(game_before).matrix.rewards[player][coalition]
+    after = solve(game_after).matrix.rewards[player][coalition]
+    witness = {
+        "player": player,
+        "coalition": coalition,
+        "reward_before": before,
+        "reward_after": after,
+    }
+    return CheckResult("F4", Verdict.PASS if tol.gt(after, before) else Verdict.FAIL, witness)
 
 
 def _render_number(x: Scalar) -> int | str | float:

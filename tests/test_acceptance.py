@@ -30,7 +30,7 @@ from fairshare import (
     Verdict,
     brute_force_solve,
     check_all,
-    check_balanced_reciprocity,
+    check_axiom,
     check_strict_monotonicity_pair,
     counterexample3_game,
     example1_game,
@@ -134,7 +134,7 @@ def test_counterexample_tables_and_reciprocity_failure():
         assert abs(bent.reward(0, 0b101) - 2.1036) <= 1e-4
 
         # (d) the scaled table cannot balance mutual gains
-        result = check_balanced_reciprocity(game, scaled)
+        result = check_axiom("F5", game, scaled)
         assert result.verdict is Verdict.FAIL
         assert result.witness is not None
         assert result.witness["gain_i"] != result.witness["gain_j"]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import fairshare
+import reference
 from fairshare import (
     BadParamsError,
     DimensionMismatchError,
@@ -14,19 +16,11 @@ from fairshare import (
     additive_game,
     check_all,
     check_axiom,
-    check_balanced_reciprocity,
-    check_feasibility,
-    check_individual_rationality,
-    check_nonnegativity,
-    check_nonparticipation,
-    check_strict_desirability,
     check_strict_monotonicity_pair,
-    check_symmetry,
-    check_uselessness,
-    check_weak_efficiency,
     coverage_game,
     default_tolerance,
     desirable_pairs,
+    members,
     raise_coalition_value,
     random_monotone_game,
     scaled_rho_shapley,
@@ -34,31 +28,24 @@ from fairshare import (
     symmetric_pairs,
     useless_players,
 )
-from fairshare.axioms import _Operands
+from fairshare.axioms import _numbers
 from fairshare.games import _MAX_DENOMINATOR_BITS
-from reference import TABLE_CHECKS, random_games, violation_reproduces
+from reference import (
+    PREMISE_CHECKS,
+    PREMISE_FINDERS,
+    TABLE_CHECKS,
+    random_games,
+    violation_reproduces,
+)
 
 
 class TestTolerance:
-    def test_exact_mode_uses_plain_comparisons(self):
-        t = Tolerance.exact()
-        assert t.eq(Fraction(1, 3), Fraction(1, 3))
-        assert not t.eq(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**12))
-        assert t.gt(1, 0) and not t.gt(1, 1)
-
-    def test_absolute_mode_blurs_small_differences(self):
-        t = Tolerance.absolute(1e-9)
-        assert t.eq(1.0, 1.0 + 5e-10)
-        assert not t.eq(1.0, 1.0 + 2e-9)
-        assert t.le(1.0 + 5e-10, 1.0)
-        assert not t.gt(1.0 + 5e-10, 1.0)  # within eps is not strict
-        assert t.gt(1.0 + 2e-9, 1.0)
-        assert t.ge(1.0, 1.0 + 5e-10)
-        assert t.lt(1.0, 1.0 + 2e-9)
-
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(BadParamsError):
-            Tolerance.absolute(0)
+        for bad in (0, -1e-9, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(BadParamsError):
+                Tolerance.absolute(bad)
+            with pytest.raises(BadParamsError):
+                Tolerance(bad)
 
     def test_default_tolerance_follows_value_modes(self, example1, example1_solution):
         matrix = example1_solution.matrix
@@ -116,14 +103,14 @@ class TestFailuresAndWitnesses:
 
     def test_nonnegativity(self, example1, example1_solution):
         bad = example1_solution.matrix.replace_entry(1, 0b0011, Fraction(-1))
-        result = check_nonnegativity(example1, bad)
+        result = check_axiom("R1", example1, bad)
         assert result.verdict is Verdict.FAIL
         assert result.witness == {"coalition": 0b0011, "player": 1, "reward": -1}
         assert violation_reproduces("R1", example1, bad, result.witness)
 
     def test_feasibility(self, example1, example1_solution):
         bad = example1_solution.matrix.replace_entry(0, 0b0011, Fraction(100))
-        result = check_feasibility(example1, bad)
+        result = check_axiom("R2", example1, bad)
         assert result.verdict is Verdict.FAIL
         assert result.witness["coalition_value"] == 3
         assert violation_reproduces("R2", example1, bad, result.witness)
@@ -131,7 +118,7 @@ class TestFailuresAndWitnesses:
     def test_weak_efficiency(self, example1, example1_solution):
         # only player 2 reaches the full value in {1,2}; lower it
         bad = example1_solution.matrix.replace_entry(1, 0b0011, Fraction(5, 2))
-        result = check_weak_efficiency(example1, bad)
+        result = check_axiom("R3", example1, bad)
         assert result.verdict is Verdict.FAIL
         assert result.witness["coalition"] == 0b0011
         assert violation_reproduces("R3", example1, bad, result.witness)
@@ -140,21 +127,21 @@ class TestFailuresAndWitnesses:
         self, example1, example1_solution
     ):
         matrix, efficient = example1_solution
-        result = check_weak_efficiency(example1, matrix)
+        result = check_axiom("R3", example1, matrix)
         assert result.passed
         for mask, k in efficient.items():
             assert matrix.rewards[k][mask] == example1.value(mask)
 
     def test_individual_rationality(self, example1, example1_solution):
         bad = example1_solution.matrix.replace_entry(3, 0b1010, Fraction(1, 2))
-        result = check_individual_rationality(example1, bad)
+        result = check_axiom("R4", example1, bad)
         assert result.verdict is Verdict.FAIL
         assert result.witness["solo_value"] == 4
         assert violation_reproduces("R4", example1, bad, result.witness)
 
     def test_nonparticipation(self, example1, example1_solution):
         bad = example1_solution.matrix.replace_entry(3, 0b0011, Fraction(5))
-        result = check_nonparticipation(example1, bad)
+        result = check_axiom("R5", example1, bad)
         assert result.verdict is Verdict.FAIL
         assert result.witness == {
             "coalition": 0b0011,
@@ -167,9 +154,9 @@ class TestFailuresAndWitnesses:
     def test_uselessness_zero_reward_clause(self):
         g = coverage_game([["a"], [], ["b"]], {"a": 2, "b": 1})
         matrix = solve(g).matrix
-        assert check_uselessness(g, matrix).verdict is Verdict.PASS
+        assert check_axiom("F1", g, matrix).verdict is Verdict.PASS
         bad = matrix.replace_entry(1, 0b011, Fraction(1))
-        result = check_uselessness(g, bad)
+        result = check_axiom("F1", g, bad)
         assert result.verdict is Verdict.FAIL
         assert violation_reproduces("F1", g, bad, result.witness)
 
@@ -178,7 +165,7 @@ class TestFailuresAndWitnesses:
         matrix = solve(g).matrix
         # change player 1's reward in {1,2} without touching player 2's zero
         bad = matrix.replace_entry(0, 0b011, Fraction(0))
-        result = check_uselessness(g, bad)
+        result = check_axiom("F1", g, bad)
         assert result.verdict is Verdict.FAIL
         assert result.witness["player"] == 0
         assert violation_reproduces("F1", g, bad, result.witness)
@@ -187,23 +174,23 @@ class TestFailuresAndWitnesses:
         g = Game(2, [0, 1, 1, 3])
         matrix = solve(g).matrix
         assert matrix.column(0b11) == (3, 3)
-        assert check_symmetry(g, matrix).verdict is Verdict.PASS
+        assert check_axiom("F2", g, matrix).verdict is Verdict.PASS
         bad = matrix.replace_entry(0, 0b11, Fraction(2))
-        result = check_symmetry(g, bad)
+        result = check_axiom("F2", g, bad)
         assert result.verdict is Verdict.FAIL
         assert violation_reproduces("F2", g, bad, result.witness)
 
     def test_strict_desirability_pass_on_both_mechanisms(self, counterexample3):
         balanced = solve(counterexample3).matrix
         scaled = scaled_rho_shapley(counterexample3, 1).matrix
-        assert check_strict_desirability(counterexample3, balanced).verdict is Verdict.PASS
-        assert check_strict_desirability(counterexample3, scaled).verdict is Verdict.PASS
+        assert check_axiom("F3", counterexample3, balanced).verdict is Verdict.PASS
+        assert check_axiom("F3", counterexample3, scaled).verdict is Verdict.PASS
 
     def test_strict_desirability_fail(self, counterexample3):
         matrix = solve(counterexample3).matrix
         # give players 2 and 3 equal rewards in the grand coalition
         bad = matrix.replace_entry(2, 0b111, matrix.reward(1, 0b111))
-        result = check_strict_desirability(counterexample3, bad)
+        result = check_axiom("F3", counterexample3, bad)
         assert result.verdict is Verdict.FAIL
         assert result.witness["player_i"] == 2
         assert result.witness["player_j"] == 1
@@ -211,7 +198,7 @@ class TestFailuresAndWitnesses:
 
     def test_balanced_reciprocity_fail_first_witness(self, counterexample3):
         scaled = scaled_rho_shapley(counterexample3, 1).matrix
-        result = check_balanced_reciprocity(counterexample3, scaled)
+        result = check_axiom("F5", counterexample3, scaled)
         assert result.verdict is Verdict.FAIL
         assert result.witness == {
             "coalition": 0b011,
@@ -377,7 +364,7 @@ class TestDispatcherAndShapes:
 
     def test_single_player_reciprocity_is_vacuous(self):
         g = Game(1, [0, 3])
-        result = check_balanced_reciprocity(g, solve(g).matrix)
+        result = check_axiom("F5", g, solve(g).matrix)
         assert result.verdict is Verdict.PASS_VACUOUS
 
 
@@ -429,14 +416,15 @@ def _primes():
 
 
 class TestReferenceCheckers:
-    """R1-R5 and F5 give the verdicts and witnesses of the Fraction loops
-    kept in tests/reference.py, whether run alone or through check_all."""
+    """Every single-table check gives the verdicts and witnesses of the
+    per-comparison loops kept in tests/reference.py, whether run alone or
+    through check_all."""
 
     @staticmethod
     def assert_agree(game, matrix, tol=None):
         report = check_all(game, matrix, tol)
-        for code, reference in TABLE_CHECKS.items():
-            expected = reference(game, matrix, tol)
+        for code, check in {**TABLE_CHECKS, **PREMISE_CHECKS}.items():
+            expected = check(game, matrix, tol)
             assert check_axiom(code, game, matrix, tol) == expected, code
             assert report[code] == expected, code
 
@@ -452,7 +440,7 @@ class TestReferenceCheckers:
         failures = set()
         for g in random_games(range(2, 9), 3, seed0=4100):
             matrix = solve(g).matrix
-            assert _Operands(g, matrix, None).numbers.denominator is not None
+            assert _numbers(g, matrix, None).denominator is not None
             self.assert_agree(g, matrix)
             for d in (3, 7, 13):
                 i = rng.randrange(g.n_players)
@@ -470,7 +458,7 @@ class TestReferenceCheckers:
         bad = example1_solution.matrix.replace_entry(1, 0b0011, Fraction(8, 3))
         self.assert_agree(example1, bad)
         self.assert_fraction_witnesses(example1, bad)
-        assert not check_weak_efficiency(example1, bad).passed
+        assert not check_axiom("R3", example1, bad).passed
 
     def test_denominators_past_the_cap_fall_back_to_fractions(self):
         g = random_monotone_game(8, 3)
@@ -482,21 +470,22 @@ class TestReferenceCheckers:
             i, mask = next(cells)
             bad = bad.replace_entry(i, mask, bad.rewards[i][mask] + Fraction(1, p))
             bits += p.bit_length() - 1
-        assert _Operands(g, bad, None).numbers.denominator is None
+        assert _numbers(g, bad, None).denominator is None
         self.assert_agree(g, bad)
         self.assert_fraction_witnesses(g, bad)
-        assert not check_balanced_reciprocity(g, bad).passed
+        assert not check_axiom("F5", g, bad).passed
 
     @pytest.mark.parametrize("entry", [7, 2.5], ids=["int", "float"])
     def test_entry_that_is_not_a_fraction_passes_through(self, example1, entry):
         bad = solve(example1).matrix.replace_entry(0, 0b0101, entry)
-        assert _Operands(example1, bad, None).numbers.denominator is None
+        assert _numbers(example1, bad, None).denominator is None
         self.assert_agree(example1, bad)
 
     def test_float_tables_near_the_tolerance(self):
         rng = random.Random(6)
         tol = Tolerance.absolute(1e-9)
-        for g in random_games(range(2, 7), 3, seed0=4200):
+        games = [*random_games(range(2, 7), 3, seed0=4200), *_premise_games()]
+        for g in games:
             g = g.as_float()
             matrix = solve(g).matrix
             self.assert_agree(g, matrix)
@@ -506,3 +495,130 @@ class TestReferenceCheckers:
                 mask = rng.randrange(g.num_coalitions)
                 bad = matrix.replace_entry(i, mask, matrix.rewards[i][mask] + delta)
                 self.assert_agree(g, bad)
+        # within eps is equal, and strictly greater means greater by more than eps
+        useless = coverage_game([["a"], [], ["b"]], {"a": 2, "b": 1})
+        c3 = additive_game([1, 2, 3])
+        for game, i, mask, base, sign, code in (
+            (useless, 1, 0b011, 0.0, 1, "F1"),
+            (Game(2, [0, 1, 1, 3]), 0, 0b11, 3.0, 1, "F2"),
+            (c3, 2, 0b111, 5.0, 1, "F3"),
+            (c3, 1, 0b111, 6.0, 1, "R2"),
+            (c3, 0, 0b001, 1.0, -1, "R4"),
+        ):
+            g = game.as_float()
+            matrix = solve(g).matrix
+            near = matrix.replace_entry(i, mask, base + sign * 5e-10)
+            far = matrix.replace_entry(i, mask, base + sign * 2e-9)
+            self.assert_agree(g, near)
+            self.assert_agree(g, far)
+            assert check_axiom(code, g, near).passed is (code != "F3"), code
+            assert check_axiom(code, g, far).passed is (code == "F3"), code
+
+
+_TOLERANCES = (
+    None,
+    Tolerance.exact(),
+    Tolerance.absolute(1e-9),
+    Tolerance.absolute(Fraction(1, 10**9)),
+)
+
+
+def _premise_games():
+    """Games where each F1-F3 premise fires, then random ones."""
+    yield coverage_game([["a"], [], ["b"], ["a", "c"]], {"a": 2, "b": 1, "c": 3})
+    yield additive_game([1, 2, 1, 2])
+    yield additive_game([1, 2, 3, 5])
+    yield Game(3, [0, 1, 1, 3, 2, 4, 4, 7])
+    yield from random_games([2, 3, 4, 5], 2, seed0=4300)
+
+
+def _tampered(rng, game, matrix):
+    """The table itself, then copies with one cell moved near or far."""
+    yield matrix
+    exact = matrix.exact
+    n = game.n_players
+    deltas = (Fraction(1, 7), -Fraction(2, 3)) if exact else (5e-10, -2e-9, 1 / 7)
+    for delta in deltas:
+        i, mask = rng.randrange(n), rng.randrange(1, game.num_coalitions)
+        yield matrix.replace_entry(i, mask, matrix.rewards[i][mask] + delta)
+    # the first member pair of the grand coalition made equal there
+    if n >= 2:
+        yield matrix.replace_entry(1, game.grand_coalition, matrix.rewards[0][game.grand_coalition])
+
+
+def _witness_types(result):
+    if result.witness is None:
+        return None
+    return {key: type(value) for key, value in result.witness.items()}
+
+
+def _assert_same(result, expected):
+    assert result == expected
+    assert _witness_types(result) == _witness_types(expected)
+
+
+class TestPremiseReferences:
+    """F1-F3, their premise finders and F4 give the verdicts, witness values
+    and witness types of the per-comparison loops in tests/reference.py."""
+
+    def test_premise_finders(self):
+        games = list(_premise_games())
+        assert useless_players(games[0]) == [1]
+        assert symmetric_pairs(games[1]) == [(0, 2), (1, 3)]
+        assert symmetric_pairs(games[2]) == []
+        assert (3, 0) in desirable_pairs(games[2])
+        for g in games:
+            for form in (g, g.as_float()):
+                for tol in _TOLERANCES:
+                    for name, finder in PREMISE_FINDERS.items():
+                        assert getattr(fairshare, name)(form, tol) == finder(form, tol)
+
+    def test_single_table_checks(self):
+        rng = random.Random(8)
+        seen = set()
+        for g in _premise_games():
+            for form in (g, g.as_float()):
+                for matrix in _tampered(rng, form, solve(form).matrix):
+                    for tol in _TOLERANCES:
+                        for code, check in PREMISE_CHECKS.items():
+                            result = check_axiom(code, form, matrix, tol)
+                            _assert_same(result, check(form, matrix, tol))
+                            seen.add((code, result.verdict))
+        for code in PREMISE_CHECKS:
+            assert {(code, Verdict.PASS), (code, Verdict.FAIL)} <= seen, code
+
+    def test_mixed_modes(self):
+        # an exact game with a float table, and the reverse
+        for g in _premise_games():
+            matrix = solve(g).matrix
+            for form, table in ((g, matrix.as_float()), (g.as_float(), matrix)):
+                for tol in _TOLERANCES:
+                    for code, check in PREMISE_CHECKS.items():
+                        _assert_same(
+                            check_axiom(code, form, table, tol), check(form, table, tol)
+                        )
+
+    def test_strict_monotonicity_pair(self):
+        rng = random.Random(9)
+        seen = set()
+        for g in _premise_games():
+            for form in (g, g.as_float()):
+                for _ in range(4):
+                    coalition = rng.randrange(1, g.num_coalitions)
+                    player = rng.choice(members(coalition))
+                    delta = rng.choice((Fraction(1, 3), Fraction(2), Fraction(1, 10**10)))
+                    raised = raise_coalition_value(form, coalition, delta)
+                    other = rng.randrange(1, g.num_coalitions)
+                    for after in (raised, form, raise_coalition_value(form, other, 1)):
+                        for tol in _TOLERANCES:
+                            result = check_strict_monotonicity_pair(
+                                form, after, player, coalition, tol
+                            )
+                            _assert_same(
+                                result,
+                                reference.strict_monotonicity_pair(
+                                    form, after, player, coalition, tol
+                                ),
+                            )
+                            seen.add(result.verdict)
+        assert {Verdict.PASS, Verdict.PREMISE_NOT_MET} <= seen

@@ -234,6 +234,10 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(ex1_path), "--tolerance", "warm"])
         assert result.exit_code == 1
         assert "bad tolerance" in result.stderr
+        for text in ("nan", "inf", "-inf"):
+            result = runner.invoke(main, ["check", str(ex1_path), "--tolerance", text])
+            assert result.exit_code == 1, text
+            assert "epsilon must be positive and finite" in result.stderr, text
 
 
 class TestShapley:

@@ -309,3 +309,6 @@ class TestRaiseCoalitionValue:
             raise_coalition_value(example1, 0, 1)
         with pytest.raises(BadParamsError):
             raise_coalition_value(example1, 1, 0)
+        for delta in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(BadParamsError):
+                raise_coalition_value(example1.as_float(), 0b0101, delta)
