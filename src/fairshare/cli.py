@@ -180,6 +180,14 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
     """Print per-coalition Shapley values; with --rho, the scaled reward table."""
     doc = _load_game(game_path)
     game = doc.game
+    # every input error surfaces before the listing is printed
+    rendered = None
+    if rho_text is not None:
+        scaled = scaled_rho_shapley(game, parse_rho(rho_text))
+        mode = FLOAT if not scaled.matrix.exact else doc.number_mode
+        rendered = serialize_matrix(MatrixDocument(scaled.matrix, doc.labels, mode, None), form)
+    elif emit_path is not None:
+        raise FileFormatError("--emit-matrix requires --rho")
     click.echo("shapley values per coalition:")
     # one potential serves every coalition; a shapley() call per coalition
     # would redo each down-set
@@ -188,18 +196,12 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
         phi = _shapley_from_potential(q, mask)
         inner = ", ".join(f"{doc.labels[i]}={format_scalar(x)}" for i, x in phi.items())
         click.echo(f"  {_braced(doc.labels, mask)}: {inner}")
-    if rho_text is None:
-        if emit_path is not None:
-            raise FileFormatError("--emit-matrix requires --rho")
+    if rendered is None:
         return
-    rho = parse_rho(rho_text)
-    scaled = scaled_rho_shapley(game, rho)
-    mode = FLOAT if not scaled.matrix.exact else doc.number_mode
-    out_doc = MatrixDocument(scaled.matrix, doc.labels, mode, None)
     click.echo(f"\nscaled reward table (rho = {rho_text.strip()}):")
-    click.echo(serialize_matrix(out_doc, form), nl=False)
+    click.echo(rendered, nl=False)
     if emit_path is not None:
-        Path(emit_path).write_text(serialize_matrix(out_doc, form))
+        Path(emit_path).write_text(rendered)
         click.echo(f"wrote scaled reward table to {emit_path}")
 
 

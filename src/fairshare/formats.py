@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .errors import FileFormatError, NotMonotoneError
-from .games import Game, Scalar, members
+from .errors import FileFormatError, NotMonotoneError, SizeLimitExceededError
+from .games import MAX_PLAYERS, Game, Scalar, members
 from .solver import EfficientPlayerMap, RewardMatrix
 
 RATIONAL = "rational"
@@ -106,9 +106,18 @@ class MatrixDocument:
         return coalition_key(self.labels, mask)
 
 
+def _check_player_count(count: int) -> None:
+    # before anything is sized by the count: tables hold 2**count cells
+    if count > MAX_PLAYERS:
+        raise SizeLimitExceededError(
+            f"{count} players exceed MAX_PLAYERS = {MAX_PLAYERS}"
+        )
+
+
 def _check_labels(labels) -> tuple[str, ...]:
     if not isinstance(labels, list) or not labels:
         raise FileFormatError('"players" must be a positive count or a list of labels')
+    _check_player_count(len(labels))
     out = []
     for lab in labels:
         # type(), not isinstance(): a JSON number's text is a str subclass
@@ -126,6 +135,7 @@ def _labels_from_players_field(players) -> tuple[str, ...]:
     if isinstance(players, int):
         if players < 1:
             raise FileFormatError('"players" count must be at least 1')
+        _check_player_count(players)
         return default_labels(players)
     return _check_labels(players)
 

@@ -5,15 +5,18 @@ enumeration tries every member of every coalition as the candidate who
 receives the full value, derives the rest of the row purely from balanced
 reciprocity, and keeps the candidates whose rows stay nonnegative and
 within the coalition's value. The global enumeration goes further and
-tries every assignment of full-value recipients across all coalitions at
-once, filtering complete matrices by the axioms; it exists precisely
-because it does not share the solver's level-by-level structure.
+considers every assignment of full-value recipients across all coalitions
+at once, filtering complete matrices by the axioms. It searches the
+assignments depth first and drops a partial assignment only at an entry
+outside its coalition's range, an entry every completion of it shares; it
+never commits to one candidate per coalition, so it keeps every table the
+axioms allow rather than the one the solver's level-by-level structure
+picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .axioms import _run_checks, default_tolerance
 from .errors import NoFeasibleCandidateError, SizeLimitExceededError
@@ -124,17 +127,22 @@ def brute_force_solve(game: Game) -> OracleResult:
 
 
 def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
-    """Every axiom-satisfying matrix, found by raw global search.
+    """Every axiom-satisfying matrix, found by exhaustive global search.
 
-    Enumerates all assignments of a full-value member to every coalition
-    of size >= 2 (a product over coalitions, with no pruning of the
-    assignment space), builds each complete matrix from balanced
-    reciprocity, and keeps those passing nonnegativity, feasibility, weak
-    efficiency, individual rationality, non-participation, and the full
-    reciprocity check. Duplicates are collapsed: in float mode, tables that
-    agree within ``brute_force_solve``'s slack of ``8·n·2⁻⁵²·v(C)`` count as
-    one, and the fail-fast filter allows the same slack. Uniqueness of the
-    allocation means the result should be a single matrix.
+    Considers every assignment of a full-value member to every coalition
+    of size >= 2, builds each complete matrix from balanced reciprocity,
+    and keeps those passing nonnegativity, feasibility, weak efficiency,
+    individual rationality, non-participation, and the full reciprocity
+    check. The search is depth first over the coalitions, by size then
+    mask, trying each coalition's members in ascending order, so it
+    reaches the assignments in lexicographic order. A coalition's column
+    depends only on the choices for the coalitions before it, so a partial
+    assignment is dropped only at an entry outside the coalition's range,
+    where every completion of it would be rejected too. Duplicates are
+    collapsed: in float mode, tables that agree within
+    ``brute_force_solve``'s slack of ``8·n·2⁻⁵²·v(C)`` count as one, and
+    the range filter allows the same slack. Uniqueness of the allocation
+    means the result should be a single matrix.
     """
     if game.n_players > GLOBAL_MAX_PLAYERS:
         raise SizeLimitExceededError(
@@ -142,40 +150,49 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
         )
     v = game.values
     n = game.n_players
-    big = coalitions_by_size(n, min_size=2)
     tol = default_tolerance(game)
     ulps = _slack_ulps(game)
-    # the fail-fast filter's range per coalition, [-slack, v(C) + slack]
-    bounds = {mask: (-ulps * v[mask], v[mask] + ulps * v[mask]) for mask in big}
+    # per coalition: its mask, value, the range filter's [-slack, v(C) +
+    # slack] and, per candidate k, the (i, C∖i, C∖k) index triples that
+    # fill the other members' entries
+    levels = []
+    for mask in coalitions_by_size(n, min_size=2):
+        mem = members(mask)
+        candidates = [
+            (k, [(i, mask ^ (1 << i), mask ^ (1 << k)) for i in mem if i != k])
+            for k in mem
+        ]
+        levels.append((mask, v[mask], -ulps * v[mask], v[mask] + ulps * v[mask], candidates))
 
     survivors: list[RewardMatrix] = []
     seen: set[RewardMatrix] = set()
-    for assignment in product(*(members(mask) for mask in big)):
-        rows = [[v[1 << i]] * (1 << n) for i in range(n)]
-        feasible = True
-        for mask, k in zip(big, assignment):
-            v_c = v[mask]
-            lo, hi = bounds[mask]
-            rows[k][mask] = v_c
-            for i in members(mask):
-                if i == k:
-                    continue
-                x = v_c - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
-                # R1/R2 fail-fast: the axiom filter below would reject the
-                # finished matrix anyway, this just skips the build early.
+    # entries of coalitions past the current depth are stale, and each is
+    # rewritten before any deeper coalition or leaf reads it
+    rows = [[v[1 << i]] * (1 << n) for i in range(n)]
+
+    def search(depth: int) -> None:
+        if depth == len(levels):
+            matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
+            if matrix in seen:
+                return
+            seen.add(matrix)
+            passes = all(r.passed for r in _run_checks(_TABLE_AXIOMS, game, matrix, tol))
+            if passes and not any(agree_up_to_rounding(game, matrix, s) for s in survivors):
+                survivors.append(matrix)
+            return
+        mask, v_c, lo, hi, candidates = levels[depth]
+        for k, others in candidates:
+            row_k = rows[k]
+            row_k[mask] = v_c
+            for i, without_i, without_k in others:
+                x = v_c - row_k[without_i] + rows[i][without_k]
+                # R1/R2 fail-fast: the axiom filter at the leaf would reject
+                # every completion anyway, this just skips building them
                 if x < lo or x > hi:
-                    feasible = False
                     break
                 rows[i][mask] = x
-            if not feasible:
-                break
-        if not feasible:
-            continue
-        matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
-        if matrix in seen:
-            continue
-        seen.add(matrix)
-        passes = all(r.passed for r in _run_checks(_TABLE_AXIOMS, game, matrix, tol))
-        if passes and not any(agree_up_to_rounding(game, matrix, s) for s in survivors):
-            survivors.append(matrix)
+            else:
+                search(depth + 1)
+
+    search(0)
     return survivors

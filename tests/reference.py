@@ -15,6 +15,9 @@ the rewards reciprocity would force from a caller-chosen anchor.
 rendered through nested dicts, ``json.dumps(indent=2)`` and one
 ``coalition_key`` call per entry. ``check_game_values`` is ``Game``'s
 former sign and monotonicity scan on the Fractions themselves.
+``product_enumeration_solve`` is the global enumeration's former loop: a
+product over every assignment of full-value members, each row rebuilt from
+solo values, with no pruning of the assignment space.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Callable
 
 from fairshare import (
@@ -38,6 +41,7 @@ from fairshare import (
     NotMonotoneError,
     RewardMatrix,
     Scalar,
+    SizeLimitExceededError,
     SolveResult,
     Tolerance,
     Verdict,
@@ -49,7 +53,13 @@ from fairshare import (
     solve,
     submasks,
 )
-from fairshare.axioms import DEFAULT_EPSILON
+from fairshare.axioms import DEFAULT_EPSILON, _run_checks, default_tolerance
+from fairshare.oracle import (
+    GLOBAL_MAX_PLAYERS,
+    _TABLE_AXIOMS,
+    _slack_ulps,
+    agree_up_to_rounding,
+)
 
 
 def random_games(sizes, per_size, seed0=0, max_increment=10):
@@ -740,3 +750,61 @@ def check_game_values(values) -> None:
         for i in members(mask):
             if values[mask ^ (1 << i)] > values[mask]:
                 raise NotMonotoneError(mask ^ (1 << i), mask)
+
+
+def product_enumeration_solve(game: Game) -> list[RewardMatrix]:
+    """Every axiom-satisfying matrix, found by raw global search.
+
+    Enumerates all assignments of a full-value member to every coalition
+    of size >= 2 (a product over coalitions, with no pruning of the
+    assignment space), builds each complete matrix from balanced
+    reciprocity, and keeps those passing nonnegativity, feasibility, weak
+    efficiency, individual rationality, non-participation, and the full
+    reciprocity check. Duplicates are collapsed: in float mode, tables that
+    agree within ``brute_force_solve``'s slack of ``8·n·2⁻⁵²·v(C)`` count as
+    one, and the fail-fast filter allows the same slack. Uniqueness of the
+    allocation means the result should be a single matrix.
+    """
+    if game.n_players > GLOBAL_MAX_PLAYERS:
+        raise SizeLimitExceededError(
+            f"global enumeration supports at most {GLOBAL_MAX_PLAYERS} players"
+        )
+    v = game.values
+    n = game.n_players
+    big = coalitions_by_size(n, min_size=2)
+    tol = default_tolerance(game)
+    ulps = _slack_ulps(game)
+    # the fail-fast filter's range per coalition, [-slack, v(C) + slack]
+    bounds = {mask: (-ulps * v[mask], v[mask] + ulps * v[mask]) for mask in big}
+
+    survivors: list[RewardMatrix] = []
+    seen: set[RewardMatrix] = set()
+    for assignment in product(*(members(mask) for mask in big)):
+        rows = [[v[1 << i]] * (1 << n) for i in range(n)]
+        feasible = True
+        for mask, k in zip(big, assignment):
+            v_c = v[mask]
+            lo, hi = bounds[mask]
+            rows[k][mask] = v_c
+            for i in members(mask):
+                if i == k:
+                    continue
+                x = v_c - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
+                # R1/R2 fail-fast: the axiom filter below would reject the
+                # finished matrix anyway, this just skips the build early.
+                if x < lo or x > hi:
+                    feasible = False
+                    break
+                rows[i][mask] = x
+            if not feasible:
+                break
+        if not feasible:
+            continue
+        matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
+        if matrix in seen:
+            continue
+        seen.add(matrix)
+        passes = all(r.passed for r in _run_checks(_TABLE_AXIOMS, game, matrix, tol))
+        if passes and not any(agree_up_to_rounding(game, matrix, s) for s in survivors):
+            survivors.append(matrix)
+    return survivors

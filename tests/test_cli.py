@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from fairshare import (
     FLOAT,
+    Game,
     GameDocument,
     MatrixDocument,
     align_matrix_labels,
@@ -121,6 +122,14 @@ class TestSolve:
         assert result.exit_code == 1
         assert "missing coalition value '1,2'" in result.stderr
 
+    @pytest.mark.parametrize("count", [21, 1000])
+    def test_too_many_players_exits_3(self, runner, tmp_path, count):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"players": count, "values": {}}))
+        result = runner.invoke(main, ["solve", str(path)])
+        assert result.exit_code == 3
+        assert f"error: {count} players exceed MAX_PLAYERS = 20" in result.stderr
+
     def test_nonmonotone_game_exits_1_with_labels(self, runner, tmp_path):
         path = tmp_path / "drop.json"
         path.write_text('{"players": 2, "values": {"1": 5, "2": 0, "1,2": 3}}')
@@ -202,6 +211,14 @@ class TestCheck:
         assert result.exit_code == 2
         assert "R2 feasibility: fail" in result.output
 
+    @pytest.mark.parametrize("count", [21, 1000])
+    def test_matrix_with_too_many_players_exits_3(self, runner, c3_path, tmp_path, count):
+        mpath = tmp_path / "wide.json"
+        mpath.write_text(json.dumps({"players": count, "rewards": {}}))
+        result = runner.invoke(main, ["check", str(c3_path), "--matrix", str(mpath)])
+        assert result.exit_code == 3
+        assert f"error: {count} players exceed MAX_PLAYERS = 20" in result.stderr
+
     def test_tolerance_flag(self, runner, tmp_path):
         game_text = json.dumps(
             {
@@ -271,14 +288,17 @@ class TestShapley:
         )
         assert result.exit_code == 1
         assert "--emit-matrix requires --rho" in result.stderr
+        assert result.stdout == ""
 
     def test_rho_out_of_range_exits_1(self, runner, c3_path):
-        for rho in ("0", "1.5", "-1"):
+        for rho in ("0", "1.5", "-1", "2"):
             result = runner.invoke(main, ["shapley", str(c3_path), "--rho", rho])
             assert result.exit_code == 1, rho
+            assert result.stdout == "", rho
         result = runner.invoke(main, ["shapley", str(c3_path), "--rho", "elephants"])
         assert result.exit_code == 1
         assert "bad rho" in result.stderr
+        assert result.stdout == ""
 
 
 class TestCompare:
@@ -328,6 +348,14 @@ class TestVerify:
         path = tmp_path / "twins.json"
         game = random_monotone_game(3, 0, 10.0**k / 3)
         path.write_text(serialize_game(GameDocument(game, ("1", "2", "3"), FLOAT)))
+        result = runner.invoke(main, ["verify", str(path), "--depth", "global"])
+        assert result.exit_code == 0, result.output
+        assert "surviving matrices: 1" in result.output
+
+    def test_global_depth_all_ties_worst_case(self, runner, tmp_path):
+        path = tmp_path / "zeros.json"
+        game = Game(4, [0] * 16)
+        path.write_text(serialize_game(GameDocument(game, ("1", "2", "3", "4"), "rational")))
         result = runner.invoke(main, ["verify", str(path), "--depth", "global"])
         assert result.exit_code == 0, result.output
         assert "surviving matrices: 1" in result.output

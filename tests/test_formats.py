@@ -13,6 +13,7 @@ from fairshare import (
     MatrixDocument,
     NegativeValueError,
     NotMonotoneError,
+    SizeLimitExceededError,
     align_matrix_labels,
     coalition_key,
     default_labels,
@@ -281,6 +282,42 @@ class TestMatrixParseErrors:
         text = '{"players": 1, "rewards": {"": {"1": 0, "2": 1}, "1": {"1": 1}}}'
         with pytest.raises(FileFormatError, match="unknown player label '2'"):
             parse_matrix(text)
+
+
+def _oversized_file(route: str, count: int) -> tuple:
+    """A file on ``route`` declaring ``count`` players, with its parser."""
+    labels = [f"p{i}" for i in range(count)]
+    if route == "game-count":
+        return parse_game, json.dumps({"players": count, "values": {}})
+    if route == "game-labels":
+        return parse_game, json.dumps({"players": labels, "values": {}})
+    if route == "json-count":
+        return parse_matrix, json.dumps({"players": count, "rewards": {}})
+    if route == "json-labels":
+        return parse_matrix, json.dumps({"players": labels, "rewards": {}})
+    if route == "table":
+        return parse_matrix, "player,p0\n" + "".join(f"{lab},0\n" for lab in labels)
+    return parse_matrix, "player,coalition,reward\n" + "".join(
+        f"{lab},{lab},0\n" for lab in labels
+    )
+
+
+class TestPlayerCountLimit:
+    # a count past MAX_PLAYERS must fail before any table is sized by it:
+    # 21 used to allocate 2**21 cells and then report a missing value, 1000
+    # raised a raw OverflowError
+    @pytest.mark.parametrize("count", [21, 1000])
+    @pytest.mark.parametrize(
+        "route", ["game-count", "game-labels", "json-count", "json-labels", "table", "long"]
+    )
+    def test_too_many_players_is_a_size_limit(self, route, count):
+        parse, text = _oversized_file(route, count)
+        with pytest.raises(SizeLimitExceededError, match=f"{count} players exceed MAX_PLAYERS = 20"):
+            parse(text)
+
+    def test_twenty_players_still_parse_as_far_as_their_values(self):
+        with pytest.raises(FileFormatError, match="missing coalition value"):
+            parse_game(json.dumps({"players": 20, "values": {}}))
 
 
 # Tokens the number parsers must read exactly as Fraction(token.strip())

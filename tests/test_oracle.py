@@ -5,14 +5,16 @@ import pytest
 from fairshare import (
     Game,
     SizeLimitExceededError,
+    additive_game,
     brute_force_solve,
     check_all,
+    coverage_game,
     global_enumeration_solve,
     random_monotone_game,
     solve,
 )
 from fairshare.oracle import agree_up_to_rounding
-from reference import random_games
+from reference import product_enumeration_solve, random_games
 
 
 class TestLevelWiseOracle:
@@ -103,6 +105,55 @@ class TestGlobalEnumerationOracle:
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceededError):
             global_enumeration_solve(random_monotone_game(5, seed=0))
+
+    def test_all_ties_worst_case_keeps_one_table(self):
+        # every one of the 20,736 assignments stays in range, so the search
+        # prunes nothing and visits every leaf
+        g = Game(4, [0] * 16)
+        assert global_enumeration_solve(g) == [solve(g).matrix]
+
+
+def _assert_same_survivors(game):
+    searched = global_enumeration_solve(game)
+    looped = product_enumeration_solve(game)
+    assert searched == looped
+    # entry for entry, number types included
+    assert repr(searched) == repr(looped)
+
+
+class TestSearchMatchesProductLoop:
+    """The depth-first search returns the former product loop's list: the
+    same survivors, in the same order, in exact and float mode."""
+
+    def test_random_exact_games(self):
+        for g in random_games([1, 2, 3, 4], 3, seed0=2500):
+            _assert_same_survivors(g)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("k", [-6, -2, 2, 6, 12])
+    def test_float_scales(self, n, k):
+        # at k=12 the absolute 1e-9 of the axiom filter rejects the true
+        # table, and both lists are empty
+        for seed in range(2):
+            _assert_same_survivors(random_monotone_game(n, seed, 10.0**k / 3))
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            Game(4, [0] * 16),
+            Game(4, [0] + [1] * 15),
+            additive_game([1, 1, 1, 1]),
+            # player 3 owns nothing, so it is useless
+            coverage_game([["a"], ["a", "b"], [], ["c"]], {"a": 1, "b": 2, "c": 1}),
+        ],
+        ids=["zeros", "ones", "additive", "coverage-useless"],
+    )
+    def test_tie_heavy_games(self, game):
+        _assert_same_survivors(game)
+
+    def test_bundled_games(self, example1, counterexample3):
+        _assert_same_survivors(example1)
+        _assert_same_survivors(counterexample3)
 
 
 class TestOracleOutputQuality:
