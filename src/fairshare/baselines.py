@@ -10,9 +10,13 @@ comparison report quantifies exactly that failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
+from .axioms import DEFAULT_EPSILON
 from .errors import (
     EmptyCoalitionError,
     OutOfRangeError,
@@ -23,7 +27,9 @@ from .games import Game, Scalar, members
 from .solver import RewardMatrix, solve
 
 
-def _potential(values: Sequence[Scalar], coalition: int) -> dict[int, Scalar]:
+def _potential(
+    values: Sequence[Scalar], coalition: int
+) -> tuple[dict[int, int | float], int | None]:
     """Hart–Mas-Colell potential on every subset of one coalition.
 
     ``Q(∅) = 0`` and ``Q(C) = (v(C) + Σ_{i∈C} Q(C∖i)) / |C|``, filled in
@@ -31,22 +37,37 @@ def _potential(values: Sequence[Scalar], coalition: int) -> dict[int, Scalar]:
     Shapley value of member i in the subgame on C is ``Q(C) − Q(C∖i)``
     (Hart & Mas-Colell, "Potential, Value, and Consistency", Econometrica
     57(3), 1989), so one pass gives every subgame's values.
+
+    Exact values run on integers. With d the common denominator of the
+    values and c the coalition's size, ``Q(C)·|C|!·d`` is an integer and
+    ``|C|!`` divides ``c!``, so ``Q·c!·d`` fills by exact integer division.
+    Returns the potential and its scale ``c!·d``; float values give the
+    float potential and scale None.
     """
-    q = {0: values[0]}
-    sub = coalition & -coalition
-    while sub:
-        total = values[sub]
+    subs = [0]
+    while subs[-1] != coalition:
+        subs.append((subs[-1] - coalition) & coalition)  # next submask, ascending
+    if isinstance(values[0], float):
+        scale, own = None, values
+    else:
+        d = math.lcm(*{values[s].denominator for s in subs})
+        scale = math.factorial(coalition.bit_count()) * d
+        own = {s: values[s].numerator * (scale // values[s].denominator) for s in subs}
+    q = {0: own[0]}
+    for sub in subs[1:]:
+        total = own[sub]
         rest = sub
         while rest:
             low = rest & -rest
             total += q[sub ^ low]
             rest ^= low
-        q[sub] = total / sub.bit_count()
-        sub = (sub - coalition) & coalition  # next submask, ascending
-    return q
+        q[sub] = total / sub.bit_count() if scale is None else total // sub.bit_count()
+    return q, scale
 
 
-def _shapley_from_potential(q: dict[int, Scalar], coalition: int) -> dict[int, Scalar]:
+def _shapley_from_potential(
+    q: dict[int, int | float], coalition: int
+) -> dict[int, int | float]:
     # A monotone game's Shapley values are never negative, but in float
     # mode the difference of two potentials can round just below zero, and
     # a negative value raised to a fractional exponent is complex.
@@ -54,20 +75,30 @@ def _shapley_from_potential(q: dict[int, Scalar], coalition: int) -> dict[int, S
     return {i: max(top - q[coalition ^ (1 << i)], zero) for i in members(coalition)}
 
 
+def _shapley_values(
+    q: dict[int, int | float], scale: int | None, coalition: int
+) -> dict[int, Scalar]:
+    """One coalition's Shapley values read off a potential from ``_potential``."""
+    phi = _shapley_from_potential(q, coalition)
+    if scale is None:
+        return phi
+    return {i: Fraction(x, scale) for i, x in phi.items()}
+
+
 def shapley(game: Game, coalition: int) -> dict[int, Scalar]:
     """Shapley values of the subgame restricted to one coalition.
 
     Computed from the Hart–Mas-Colell potential over the coalition's
-    subsets, in O(c·2^c) for a coalition of c members. Exact in rational
-    mode; in float mode a value that rounds below zero is clamped to 0.0.
-    The members' values always sum to the coalition's value (up to
+    subsets, in O(c·2^c) for a coalition of c members, on integers in
+    rational mode. In float mode a value that rounds below zero is clamped
+    to 0.0. The members' values always sum to the coalition's value (up to
     rounding in float mode).
     """
     if not 0 <= coalition < game.num_coalitions:
         raise OutOfRangeError(f"coalition mask {coalition} out of range")
     if coalition == 0:
         raise EmptyCoalitionError("Shapley values need a non-empty coalition")
-    return _shapley_from_potential(_potential(game.values, coalition), coalition)
+    return _shapley_values(*_potential(game.values, coalition), coalition)
 
 
 @dataclass(frozen=True)
@@ -78,29 +109,36 @@ class RhoShapleyMatrix:
     rho: Scalar
 
 
-def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
-    """Full scaled-Shapley reward table for an exponent in (0, 1].
+def _scaled_table(
+    game: Game, rho: Scalar | int
+) -> tuple[list[list[Scalar]], list[list[int]] | None, list[int] | None]:
+    """Rows of the scaled-Shapley table; in exact mode also, per coalition,
+    the members' entries as integer numerators over one shared denominator.
 
-    Non-members keep their solo value. Members get
-    ``(phi_i / phi_max) ** rho * v(C)``. Exact rationals survive only for
-    rho == 1; any other exponent forces float mode (the powers are
-    irrational in general).
+    With ``Φ_i = φ_i·n!·d`` from the integer potential and ``v(C) = p/q``,
+    member i's exact share is ``Φ_i·p / (Φ_max·q)``, so ``Φ_max·q`` is the
+    column's denominator. For a float exponent on an exact game,
+    ``Φ_i / (n!·d)`` is the correctly rounded ``float(φ_i)``.
     """
     if not 0 < rho <= 1:
         raise RhoOutOfRangeError(f"rho must be in (0, 1], got {rho}")
     exact = game.exact and rho == 1
     n = game.n_players
+    values = game.values
     if exact:
-        base = [game.values[1 << i] for i in range(n)]
+        base = [values[1 << i] for i in range(n)]
     else:
-        base = [float(game.values[1 << i]) for i in range(n)]
+        base = [float(values[1 << i]) for i in range(n)]
     rows: list[list[Scalar]] = [[base[i]] * (1 << n) for i in range(n)]
+    nums = [[0] * (1 << n) for _ in range(n)] if exact else None
+    dens = [1] * (1 << n) if exact else None
+    power = float(rho)
 
-    q = _potential(game.values, game.grand_coalition)
+    q, scale = _potential(values, game.grand_coalition)
     for mask in range(1, 1 << n):
         phi = _shapley_from_potential(q, mask)
         phi_max = max(phi.values())
-        v_c = game.values[mask]
+        v_c = values[mask]
         if phi_max == 0:
             if v_c > 0:
                 raise ZeroMaxShapleyError(
@@ -110,15 +148,35 @@ def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
             for i in phi:
                 rows[i][mask] = v_c if exact else 0.0
             continue
+        if exact:
+            p = v_c.numerator
+            den = dens[mask] = phi_max * v_c.denominator
+            for i, phi_i in phi.items():
+                num = nums[i][mask] = phi_i * p
+                rows[i][mask] = Fraction(num, den)
+            continue
+        if scale is not None:
+            phi = {i: phi_i / scale for i, phi_i in phi.items()}
+            phi_max /= scale
+        v_f = float(v_c)
         for i, phi_i in phi.items():
-            if exact:
-                rows[i][mask] = (phi_i / phi_max) * v_c
-            elif rho == 1:
-                rows[i][mask] = float(phi_i) / float(phi_max) * float(v_c)
+            if rho == 1:
+                rows[i][mask] = phi_i / phi_max * v_f
             else:
-                rows[i][mask] = (float(phi_i) / float(phi_max)) ** float(rho) * float(v_c)
+                rows[i][mask] = (phi_i / phi_max) ** power * v_f
+    return rows, nums, dens
 
-    matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
+
+def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
+    """Full scaled-Shapley reward table for an exponent in (0, 1].
+
+    Non-members keep their solo value. Members get
+    ``(phi_i / phi_max) ** rho * v(C)``. Exact rationals survive only for
+    rho == 1; any other exponent forces float mode (the powers are
+    irrational in general).
+    """
+    rows = _scaled_table(game, rho)[0]
+    matrix = RewardMatrix(game.n_players, tuple(tuple(row) for row in rows))
     return RhoShapleyMatrix(matrix, rho)
 
 
@@ -152,47 +210,120 @@ def pair_residuals(matrix: RewardMatrix) -> list[PairResidual]:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Divergence of the scaled Shapley table from the balanced solver."""
+    """Divergence of the scaled Shapley table from the balanced solver.
+
+    ``unbalanced`` counts the (coalition, pair) triples whose reciprocity
+    residual exceeds the threshold: 0 when the table is exact (rho == 1
+    on an exact game), ``DEFAULT_EPSILON`` otherwise. ``residuals`` lists
+    every triple's residual, built from ``scaled`` on first read.
+    """
 
     rho: Scalar
-    residuals: tuple[PairResidual, ...]
+    scaled: RewardMatrix
     max_residual: Scalar
     max_residual_witness: tuple[int, int, int] | None
+    unbalanced: int
     max_abs_diff: Scalar
     entry_diffs: tuple[tuple[Scalar, ...], ...]  # scaled minus balanced, per entry
+
+    @cached_property
+    def residuals(self) -> tuple[PairResidual, ...]:
+        return tuple(pair_residuals(self.scaled))
 
 
 def compare_mechanisms(game: Game, rho: Scalar | int) -> ComparisonReport:
     """Measure how the scaled Shapley table diverges from the balanced one.
 
-    Reports every pairwise reciprocity residual of the scaled table, the
-    largest one with its witnessing (coalition, i, j), and the entrywise
-    difference against ``solve``. When rho forces float mode the balanced
-    matrix is converted to float before differencing.
+    One pass over every coalition and member pair, in ascending mask order
+    and then i < j, finds the largest reciprocity residual of the scaled
+    table, its first witnessing (coalition, i, j), and how many residuals
+    lie above the threshold. Exact residuals are compared as integers over
+    each coalition's shared denominator. The report also holds the
+    entrywise difference against ``solve``; when rho forces float mode the
+    balanced matrix is converted to float before differencing.
     """
-    scaled = scaled_rho_shapley(game, rho).matrix
+    rows, nums, dens = _scaled_table(game, rho)
+    n = game.n_players
+    scaled = RewardMatrix(n, tuple(tuple(row) for row in rows))
     balanced = solve(game).matrix
     if not scaled.exact and balanced.exact:
         balanced = balanced.as_float()
 
-    residuals = tuple(pair_residuals(scaled))
-    max_residual: Scalar = 0 if scaled.exact else 0.0
     witness: tuple[int, int, int] | None = None
-    for r in residuals:
-        if witness is None or r.residual > max_residual:
-            max_residual = r.residual
-            witness = (r.coalition, r.player_i, r.player_j)
+    unbalanced = 0
+    if nums is None:
+        max_residual: Scalar = 0.0
+        for mask in range(3, 1 << n):
+            mem = members(mask)
+            for a, i in enumerate(mem):
+                row_i, bit_i = rows[i], 1 << i
+                for j in mem[a + 1:]:
+                    row_j = rows[j]
+                    gain_i = row_i[mask] - row_i[mask ^ (1 << j)]
+                    gain_j = row_j[mask] - row_j[mask ^ bit_i]
+                    residual = abs(gain_i - gain_j)
+                    if residual > DEFAULT_EPSILON:
+                        unbalanced += 1
+                    if witness is None or residual > max_residual:
+                        max_residual = residual
+                        witness = (mask, i, j)
+    else:
+        # The residual of (C, i, j) is |x| / (D_C·D_{C∖i}·D_{C∖j}), with D
+        # each column's shared denominator.
+        best_num, best_den = 0, 1
+        for mask in range(3, 1 << n):
+            mem = members(mask)
+            d_c = dens[mask]
+            for a, i in enumerate(mem):
+                num_i, bit_i = nums[i], 1 << i
+                d_i = dens[mask ^ bit_i]
+                for j in mem[a + 1:]:
+                    num_j, bit_j = nums[j], 1 << j
+                    d_j = dens[mask ^ bit_j]
+                    x = (num_i[mask] - num_j[mask]) * d_i * d_j - d_c * (
+                        num_i[mask ^ bit_j] * d_i - num_j[mask ^ bit_i] * d_j
+                    )
+                    if x:
+                        unbalanced += 1
+                        x = abs(x)
+                        den = d_c * d_i * d_j
+                        if witness is None or x * best_den > best_num * den:
+                            best_num, best_den = x, den
+                            witness = (mask, i, j)
+                    elif witness is None:
+                        witness = (mask, i, j)
+        max_residual = 0 if witness is None else Fraction(best_num, best_den)
 
-    diffs = tuple(
-        tuple(s - b for s, b in zip(srow, brow))
-        for srow, brow in zip(scaled.rewards, balanced.rewards)
-    )
-    max_abs_diff = max((abs(d) for row in diffs for d in row), default=max_residual * 0)
+    # Both tables hold the solo value at every non-member entry and in
+    # coalitions of one, so only members of larger coalitions differ.
+    brows = balanced.rewards
+    diffs = [[0.0 if nums is None else Fraction(0)] * (1 << n) for _ in range(n)]
+    top_num, top_den = 0, 1
+    for mask in range(3, 1 << n):
+        if not mask & (mask - 1):
+            continue
+        if nums is None:
+            for i in members(mask):
+                diffs[i][mask] = rows[i][mask] - brows[i][mask]
+            continue
+        d_c = dens[mask]
+        for i in members(mask):
+            b = brows[i][mask]
+            x = nums[i][mask] * b.denominator - b.numerator * d_c
+            den = d_c * b.denominator
+            diffs[i][mask] = Fraction(x, den)
+            if abs(x) * top_den > top_num * den:
+                top_num, top_den = abs(x), den
+    if nums is None:
+        max_abs_diff: Scalar = max(max(map(abs, row)) for row in diffs)
+    else:
+        max_abs_diff = Fraction(top_num, top_den)
     return ComparisonReport(
         rho=rho,
-        residuals=residuals,
+        scaled=scaled,
         max_residual=max_residual,
         max_residual_witness=witness,
+        unbalanced=unbalanced,
         max_abs_diff=max_abs_diff,
-        entry_diffs=diffs,
+        entry_diffs=tuple(map(tuple, diffs)),
     )

@@ -11,16 +11,17 @@ Exit codes: 0 success / all checks pass, 1 input error, 2 axiom violation
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import click
 
-from .axioms import AXIOM_NAMES, DEFAULT_EPSILON, Tolerance, Verdict, check_all
+from .axioms import AXIOM_NAMES, Tolerance, Verdict, check_all
 from .baselines import (
     _potential,
-    _shapley_from_potential,
+    _shapley_values,
     compare_mechanisms,
     scaled_rho_shapley,
 )
@@ -191,9 +192,9 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
     click.echo("shapley values per coalition:")
     # one potential serves every coalition; a shapley() call per coalition
     # would redo each down-set
-    q = _potential(game.values, game.grand_coalition)
+    q, scale = _potential(game.values, game.grand_coalition)
     for mask in sorted(range(1, game.num_coalitions), key=lambda m: (m.bit_count(), doc.key(m))):
-        phi = _shapley_from_potential(q, mask)
+        phi = _shapley_values(q, scale, mask)
         inner = ", ".join(f"{doc.labels[i]}={format_scalar(x)}" for i, x in phi.items())
         click.echo(f"  {_braced(doc.labels, mask)}: {inner}")
     if rendered is None:
@@ -214,10 +215,10 @@ def compare_cmd(game_path: str, rho_text: str):
     doc = _load_game(game_path)
     rho = parse_rho(rho_text)
     report = compare_mechanisms(doc.game, rho)
-    threshold = 0 if doc.game.exact and rho == 1 else DEFAULT_EPSILON
-    unbalanced = sum(1 for r in report.residuals if r.residual > threshold)
+    n = doc.game.n_players
+    pairs = math.comb(n, 2) * (1 << n) // 4
     click.echo(f"rho: {rho_text.strip()}")
-    click.echo(f"unbalanced (coalition, pair) triples: {unbalanced} of {len(report.residuals)}")
+    click.echo(f"unbalanced (coalition, pair) triples: {report.unbalanced} of {pairs}")
     click.echo(f"max reciprocity residual: {format_scalar(report.max_residual)}")
     if report.max_residual_witness is not None and report.max_residual > 0:
         mask, i, j = report.max_residual_witness

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .errors import FileFormatError, NotMonotoneError, SizeLimitExceededError
-from .games import MAX_PLAYERS, Game, Scalar, members
+from .errors import FileFormatError, NotMonotoneError
+from .games import Game, Scalar, _check_player_count, members
 from .solver import EfficientPlayerMap, RewardMatrix
 
 RATIONAL = "rational"
@@ -104,14 +104,6 @@ class MatrixDocument:
 
     def key(self, mask: int) -> str:
         return coalition_key(self.labels, mask)
-
-
-def _check_player_count(count: int) -> None:
-    # before anything is sized by the count: tables hold 2**count cells
-    if count > MAX_PLAYERS:
-        raise SizeLimitExceededError(
-            f"{count} players exceed MAX_PLAYERS = {MAX_PLAYERS}"
-        )
 
 
 def _check_labels(labels) -> tuple[str, ...]:

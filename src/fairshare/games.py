@@ -24,6 +24,7 @@ from .errors import (
     EmptyNotZeroError,
     NegativeValueError,
     NotMonotoneError,
+    SizeLimitExceededError,
 )
 
 Scalar = Fraction | float
@@ -33,6 +34,14 @@ MAX_PLAYERS = 20
 # Increments from the random generator land on this grid so rational games
 # keep small denominators no matter how many values get combined later.
 _INCREMENT_GRID = 16
+
+
+def _check_player_count(count: int) -> None:
+    # before anything is sized by the count: tables hold 2**count cells
+    if count > MAX_PLAYERS:
+        raise SizeLimitExceededError(
+            f"{count} players exceed MAX_PLAYERS = {MAX_PLAYERS}"
+        )
 
 
 def members(coalition: int) -> list[int]:
@@ -216,8 +225,9 @@ def random_monotone_game(
     uniform grid over [0, max_increment]. Same arguments, same game,
     bitwise, on any platform.
     """
-    if not 1 <= n_players <= MAX_PLAYERS:
-        raise BadParamsError(f"n_players must be in [1, {MAX_PLAYERS}]")
+    if n_players < 1:
+        raise BadParamsError("n_players must be at least 1")
+    _check_player_count(n_players)
     if max_increment < 0:
         raise BadParamsError("max_increment must be nonnegative")
     if not isinstance(max_increment, float):
@@ -238,8 +248,7 @@ def additive_game(weights: Sequence[Scalar | int]) -> Game:
     if any(w < 0 for w in weights):
         raise BadParamsError("additive weights must be nonnegative")
     n = len(weights)
-    if n > MAX_PLAYERS:
-        raise BadParamsError(f"at most {MAX_PLAYERS} players supported")
+    _check_player_count(n)
     values = [sum(weights[i] for i in members(mask)) for mask in range(1 << n)]
     values[0] = 0
     return Game(n, tuple(values))
@@ -258,8 +267,7 @@ def coverage_game(
     if not player_elements:
         raise BadParamsError("coverage game needs at least one player")
     n = len(player_elements)
-    if n > MAX_PLAYERS:
-        raise BadParamsError(f"at most {MAX_PLAYERS} players supported")
+    _check_player_count(n)
     sets = [frozenset(es) for es in player_elements]
     known = set(element_weights)
     for i, es in enumerate(sets):

@@ -18,6 +18,10 @@ former sign and monotonicity scan on the Fractions themselves.
 ``product_enumeration_solve`` is the global enumeration's former loop: a
 product over every assignment of full-value members, each row rebuilt from
 solo values, with no pruning of the assignment space.
+``fraction_potential``, ``potential_shapley``, ``potential_scaled_rho_shapley``
+and ``eager_compare_mechanisms`` are the Shapley baselines' former
+``Fraction`` potential and scaled table, and the comparison that kept every
+``PairResidual`` and took its summary from that tuple.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from fairshare import (
     CheckResult,
@@ -49,6 +53,7 @@ from fairshare import (
     coalitions_by_size,
     default_labels,
     members,
+    pair_residuals,
     random_monotone_game,
     solve,
     submasks,
@@ -808,3 +813,102 @@ def product_enumeration_solve(game: Game) -> list[RewardMatrix]:
         if passes and not any(agree_up_to_rounding(game, matrix, s) for s in survivors):
             survivors.append(matrix)
     return survivors
+
+
+def fraction_potential(values: Sequence[Scalar], coalition: int) -> dict[int, Scalar]:
+    """Hart–Mas-Colell potential on every subset of one coalition, on the
+    values as given: ``Fraction`` division in exact mode."""
+    q = {0: values[0]}
+    sub = coalition & -coalition
+    while sub:
+        total = values[sub]
+        rest = sub
+        while rest:
+            low = rest & -rest
+            total += q[sub ^ low]
+            rest ^= low
+        q[sub] = total / sub.bit_count()
+        sub = (sub - coalition) & coalition  # next submask, ascending
+    return q
+
+
+def phi_from_potential(q: dict[int, Scalar], coalition: int) -> dict[int, Scalar]:
+    """One coalition's Shapley values off ``fraction_potential``, clamped at 0."""
+    top, zero = q[coalition], q[0]
+    return {i: max(top - q[coalition ^ (1 << i)], zero) for i in members(coalition)}
+
+
+def potential_shapley(game: Game, coalition: int) -> dict[int, Scalar]:
+    """Shapley values of one subgame from the ``Fraction`` potential."""
+    return phi_from_potential(fraction_potential(game.values, coalition), coalition)
+
+
+def potential_scaled_rho_shapley(game: Game, rho) -> RewardMatrix:
+    """Scaled-Shapley table from the ``Fraction`` potential: exact for
+    rho == 1 on an exact game, float otherwise through ``float(φ)``."""
+    exact = game.exact and rho == 1
+    n = game.n_players
+    if exact:
+        base = [game.values[1 << i] for i in range(n)]
+    else:
+        base = [float(game.values[1 << i]) for i in range(n)]
+    rows: list[list[Scalar]] = [[base[i]] * (1 << n) for i in range(n)]
+    q = fraction_potential(game.values, game.grand_coalition)
+    for mask in range(1, 1 << n):
+        phi = phi_from_potential(q, mask)
+        phi_max = max(phi.values())
+        v_c = game.values[mask]
+        if phi_max == 0:
+            for i in phi:
+                rows[i][mask] = v_c if exact else 0.0
+            continue
+        for i, phi_i in phi.items():
+            if exact:
+                rows[i][mask] = (phi_i / phi_max) * v_c
+            elif rho == 1:
+                rows[i][mask] = float(phi_i) / float(phi_max) * float(v_c)
+            else:
+                rows[i][mask] = (float(phi_i) / float(phi_max)) ** float(rho) * float(v_c)
+    return RewardMatrix(n, tuple(tuple(row) for row in rows))
+
+
+class EagerComparison(NamedTuple):
+    rho: Scalar
+    residuals: tuple
+    max_residual: Scalar
+    max_residual_witness: tuple[int, int, int] | None
+    unbalanced: int
+    max_abs_diff: Scalar
+    entry_diffs: tuple[tuple[Scalar, ...], ...]
+
+
+def eager_compare_mechanisms(game: Game, rho) -> EagerComparison:
+    """Every residual of the scaled table as a ``PairResidual``, then the
+    summary taken from that tuple; ``unbalanced`` counts the residuals above
+    0 for an exact table and above ``DEFAULT_EPSILON`` otherwise."""
+    scaled = potential_scaled_rho_shapley(game, rho)
+    balanced = solve(game).matrix
+    if not scaled.exact and balanced.exact:
+        balanced = balanced.as_float()
+
+    residuals = tuple(pair_residuals(scaled))
+    max_residual: Scalar = 0 if scaled.exact else 0.0
+    witness: tuple[int, int, int] | None = None
+    for r in residuals:
+        if witness is None or r.residual > max_residual:
+            max_residual = r.residual
+            witness = (r.coalition, r.player_i, r.player_j)
+    threshold = 0 if scaled.exact else DEFAULT_EPSILON
+    diffs = tuple(
+        tuple(s - b for s, b in zip(srow, brow))
+        for srow, brow in zip(scaled.rewards, balanced.rewards)
+    )
+    return EagerComparison(
+        rho=rho,
+        residuals=residuals,
+        max_residual=max_residual,
+        max_residual_witness=witness,
+        unbalanced=sum(1 for r in residuals if r.residual > threshold),
+        max_abs_diff=max(abs(d) for row in diffs for d in row),
+        entry_diffs=diffs,
+    )

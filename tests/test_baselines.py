@@ -11,6 +11,8 @@ from fairshare import (
     additive_game,
     check_all,
     compare_mechanisms,
+    counterexample3_game,
+    example1_game,
     members,
     pair_residuals,
     random_monotone_game,
@@ -18,7 +20,14 @@ from fairshare import (
     shapley,
     solve,
 )
-from reference import random_games, shapley_by_permutations
+from reference import (
+    EagerComparison,
+    eager_compare_mechanisms,
+    potential_scaled_rho_shapley,
+    potential_shapley,
+    random_games,
+    shapley_by_permutations,
+)
 
 RHO_IRRATIONAL = math.log2(3) - 1
 
@@ -216,3 +225,67 @@ def test_scaled_table_passes_everything_but_reciprocity(counterexample3):
             assert not result.passed
         else:
             assert result.passed, result.axiom
+
+
+# A game whose values' common denominator passes 256 bits (the product of
+# three Mersenne primes), so no capped common-denominator path could hold it.
+WIDE_DENOMINATOR_GAME = additive_game(
+    [Fraction(1, 2**61 - 1), Fraction(1, 2**89 - 1), Fraction(1, 2**107 - 1), 1, Fraction(2, 3)]
+)
+
+DIFFERENTIAL_RHOS = (1, Fraction(1, 2), RHO_IRRATIONAL)
+
+
+def _differential_games():
+    for n in range(1, 9):
+        for seed in range(2):
+            yield f"exact-n{n}-s{seed}", random_monotone_game(n, seed)
+    yield "example1", example1_game()
+    yield "counterexample3", counterexample3_game()
+    yield "wide-denominator", WIDE_DENOMINATOR_GAME
+    yield "zero", Game(3, [0] * 8)
+    # symmetric players tie at the largest residual, so the first witness shows
+    yield "tied-maxima", additive_game([1, 1, 3, 3])
+    yield "tied-maxima-float", additive_game([1, 1, 3, 3]).as_float()
+    for k in range(-6, 13):
+        yield f"float-1e{k}/3", random_monotone_game(3 + k % 4, 100 + k, 10.0**k / 3)
+
+
+def _same(got, want) -> bool:
+    # repr tells Fraction from int and keeps every float bit, -0.0 included
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name, game", list(_differential_games()))
+class TestMatchesFractionReference:
+    """Exact results equal the former ``Fraction`` potential's, and float
+    results match it bit for bit."""
+
+    def test_shapley(self, name, game):
+        for mask in range(1, game.num_coalitions):
+            assert _same(shapley(game, mask), potential_shapley(game, mask)), mask
+
+    def test_scaled_rho_shapley(self, name, game):
+        for rho in DIFFERENTIAL_RHOS:
+            got = scaled_rho_shapley(game, rho).matrix
+            assert _same(got, potential_scaled_rho_shapley(game, rho)), rho
+
+    def test_comparison_report(self, name, game):
+        for rho in DIFFERENTIAL_RHOS:
+            got = compare_mechanisms(game, rho)
+            want = eager_compare_mechanisms(game, rho)
+            for field in EagerComparison._fields:
+                assert _same(getattr(got, field), getattr(want, field)), (rho, field)
+            assert _same(got.scaled, potential_scaled_rho_shapley(game, rho)), rho
+
+
+def test_wide_denominator_passes_256_bits():
+    d = math.lcm(*(x.denominator for x in WIDE_DENOMINATOR_GAME.values))
+    assert d.bit_length() > 256
+
+
+def test_residuals_are_built_on_first_read():
+    report = compare_mechanisms(random_monotone_game(6, 2), 1)
+    assert "residuals" not in vars(report)
+    assert len(report.residuals) == math.comb(6, 2) * 2 ** (6 - 2)
+    assert report.residuals is report.residuals

@@ -10,8 +10,12 @@ from fairshare import (
     GameDocument,
     MatrixDocument,
     align_matrix_labels,
+    coalition_key,
+    default_labels,
+    format_scalar,
     parse_game,
     parse_matrix,
+    parse_rho,
     random_monotone_game,
     scaled_rho_shapley,
     serialize_game,
@@ -19,6 +23,12 @@ from fairshare import (
     solve,
 )
 from fairshare.cli import main
+from reference import (
+    eager_compare_mechanisms,
+    fraction_potential,
+    phi_from_potential,
+    potential_scaled_rho_shapley,
+)
 
 
 @pytest.fixture()
@@ -84,6 +94,23 @@ class TestGen:
             result = runner.invoke(main, args)
             assert result.exit_code == 1, args
             assert "error:" in result.stderr
+
+    def test_generator_player_limit_exits_3(self, runner):
+        for args in (
+            ["gen", "--family", "random-monotone", "--players", "21"],
+            ["gen", "--family", "additive", "--weights", ",".join(["1"] * 21)],
+            ["gen", "--family", "coverage", "--sets", ";".join(["a"] * 21),
+             "--element-weights", "a=1"],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3, args
+            assert "21 players exceed MAX_PLAYERS = 20" in result.stderr
+            assert result.stdout == ""
+
+    def test_generator_player_count_below_one_exits_1(self, runner):
+        result = runner.invoke(main, ["gen", "--family", "random-monotone", "--players", "0"])
+        assert result.exit_code == 1
+        assert "n_players must be at least 1" in result.stderr
 
 
 class TestSolve:
@@ -317,6 +344,76 @@ class TestCompare:
     def test_rho_is_required(self, runner, c3_path):
         result = runner.invoke(main, ["compare", str(c3_path)])
         assert result.exit_code == 2  # structural usage error
+
+
+def _braced(labels, mask):
+    return "{" + coalition_key(labels, mask) + "}"
+
+
+def reference_compare_output(doc: GameDocument, rho_text: str) -> str:
+    """What ``fairshare compare`` printed when it read the eager report."""
+    report = eager_compare_mechanisms(doc.game, parse_rho(rho_text))
+    lines = [
+        f"rho: {rho_text}",
+        f"unbalanced (coalition, pair) triples: {report.unbalanced} of {len(report.residuals)}",
+        f"max reciprocity residual: {format_scalar(report.max_residual)}",
+    ]
+    if report.max_residual_witness is not None and report.max_residual > 0:
+        mask, i, j = report.max_residual_witness
+        lines.append(
+            f"  at coalition {_braced(doc.labels, mask)}, pair ({doc.labels[i]}, {doc.labels[j]})"
+        )
+    lines.append(
+        f"max entrywise difference from balanced table: {format_scalar(report.max_abs_diff)}"
+    )
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_shapley_output(doc: GameDocument, rho_text: str) -> str:
+    """What ``fairshare shapley --rho`` printed off the ``Fraction`` potential."""
+    game = doc.game
+    lines = ["shapley values per coalition:"]
+    q = fraction_potential(game.values, game.grand_coalition)
+    for mask in sorted(range(1, game.num_coalitions), key=lambda m: (m.bit_count(), doc.key(m))):
+        phi = phi_from_potential(q, mask)
+        inner = ", ".join(f"{doc.labels[i]}={format_scalar(x)}" for i, x in phi.items())
+        lines.append(f"  {_braced(doc.labels, mask)}: {inner}")
+    scaled = potential_scaled_rho_shapley(game, parse_rho(rho_text))
+    mode = doc.number_mode if scaled.exact else FLOAT
+    table = serialize_matrix(MatrixDocument(scaled, doc.labels, mode, None), "table")
+    lines += ["", f"scaled reward table (rho = {rho_text}):"]
+    return "".join(line + "\n" for line in lines) + table
+
+
+class TestByteIdentityAtScale:
+    """On a 10-player game, exact and float, ``compare`` and ``shapley``
+    print the bytes the ``Fraction`` references give."""
+
+    @pytest.fixture(params=["exact", "float"])
+    def game_path(self, request, tmp_path):
+        if request.param == "exact":
+            text = CliRunner().invoke(
+                main, ["gen", "--family", "random-monotone", "--players", "10", "--seed", "5"]
+            ).stdout
+        else:
+            game = random_monotone_game(10, 5, 10.0)
+            text = serialize_game(GameDocument(game, default_labels(10), FLOAT))
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("rho_text", ["1", "1/2"])
+    def test_compare(self, runner, game_path, rho_text):
+        result = runner.invoke(main, ["compare", str(game_path), "--rho", rho_text])
+        assert result.exit_code == 0, result.output
+        doc = parse_game(game_path.read_text())
+        assert result.stdout == reference_compare_output(doc, rho_text)
+
+    def test_shapley(self, runner, game_path):
+        result = runner.invoke(main, ["shapley", str(game_path), "--rho", "1"])
+        assert result.exit_code == 0, result.output
+        doc = parse_game(game_path.read_text())
+        assert result.stdout == reference_shapley_output(doc, "1")
 
 
 class TestVerify:

@@ -11,6 +11,7 @@ from fairshare import (
     Game,
     NegativeValueError,
     NotMonotoneError,
+    SizeLimitExceededError,
     additive_game,
     coalitions_by_size,
     counterexample3_game,
@@ -287,6 +288,35 @@ class TestFamilies:
             make_family("no-such-family")
         with pytest.raises(BadParamsError):
             make_family("additive", wrong_kw=[1])
+
+
+class TestGeneratorPlayerLimit:
+    """Generators report a player count past MAX_PLAYERS as a size limit,
+    as the parsers do, before any table is sized by it."""
+
+    def test_random_monotone(self):
+        for n in (21, 1000):
+            with pytest.raises(SizeLimitExceededError, match=f"{n} players exceed MAX_PLAYERS"):
+                random_monotone_game(n, 0)
+        for n in (0, -1):
+            with pytest.raises(BadParamsError):
+                random_monotone_game(n, 0)
+
+    def test_additive(self):
+        with pytest.raises(SizeLimitExceededError, match="21 players exceed MAX_PLAYERS"):
+            additive_game([1] * 21)
+        with pytest.raises(BadParamsError):
+            additive_game([])
+
+    def test_coverage(self):
+        with pytest.raises(SizeLimitExceededError, match="21 players exceed MAX_PLAYERS"):
+            coverage_game([["a"]] * 21, {"a": 1})
+        with pytest.raises(BadParamsError):
+            coverage_game([], {"a": 1})
+
+    def test_make_family_keeps_the_error(self):
+        with pytest.raises(SizeLimitExceededError):
+            make_family("random-monotone", players=21, seed=0)
 
 
 class TestRaiseCoalitionValue:
