@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
-from .games import Game, Scalar, _common_denominator, _scaled, members, submasks
+from .games import Game, Scalar, members, submasks
 from .solver import RewardMatrix, _fill_down_set
 
 DEFAULT_EPSILON = 1e-9
@@ -138,8 +138,9 @@ class _Numbers(NamedTuple):
 
     A comparison allows ``eps``: equal means ``abs(a - b) <= eps``, at most
     means ``a - b <= eps``, strictly greater means ``a - b > eps``. When
-    ``denominator`` is set, every number is an int scaled by it and eps is
-    0; otherwise the numbers are the entries themselves.
+    ``denominator`` is set, the numbers are the game's and the table's
+    stored ints over that shared denominator, and eps is 0; otherwise they
+    are the entries themselves.
     """
 
     values: Sequence
@@ -155,18 +156,17 @@ class _Numbers(NamedTuple):
 def _numbers(game: Game, matrix: RewardMatrix, tol: Tolerance | None) -> _Numbers:
     """What the checkers compare for one game, table and tolerance.
 
-    Under an exact tolerance it scales every Fraction value and entry to an
-    int over their common denominator: multiplying by a positive constant
-    keeps every ==, <= and <, so comparing the ints with eps 0 gives the
-    exact verdicts without Fraction arithmetic.
+    Under an exact tolerance, a game and a table stored as ints over the
+    same denominator are compared as those ints: the denominator is
+    positive, so every ==, <= and < keeps its verdict. Any other pair, a
+    tampered table with a new denominator say, is compared as its entries.
     """
     _require_same_shape(game, matrix)
     eps = _epsilon(tol, game, matrix)
-    values, rows = game.values, matrix.rewards
-    d = None if eps else _common_denominator((values, *rows))
-    if d is None:
-        return _Numbers(values, rows, eps, None)
-    return _Numbers(_scaled(values, d), [_scaled(row, d) for row in rows], 0, d)
+    d = game._denominator
+    if not eps and d is not None and d == matrix._denominator:
+        return _Numbers(game._numerators, matrix._numerators, 0, d)
+    return _Numbers(game.values, matrix.rewards, eps, None)
 
 
 def _nonnegativity(nums: _Numbers) -> CheckResult:
@@ -466,6 +466,13 @@ def _balanced_reciprocity(nums: _Numbers) -> CheckResult:
     return CheckResult("F5", Verdict.PASS)
 
 
+def _balanced_reward(game: Game, player: int, coalition: int) -> Scalar:
+    """The solver's entry for one member of one coalition, computed on the
+    coalition's down-set alone, which is all the entry depends on."""
+    x = _fill_down_set(game, coalition)[0][player][coalition]
+    return x if game._denominator is None else Fraction(x, game._denominator)
+
+
 def check_strict_monotonicity_pair(
     game_before: Game,
     game_after: Game,
@@ -512,9 +519,8 @@ def check_strict_monotonicity_pair(
                 {"reason": "a sub-coalition without the player changed value", "coalition": sub},
             )
 
-    # the entry depends only on the coalition's down-set in each game
-    before = _fill_down_set(game_before, coalition)[0][player][coalition]
-    after = _fill_down_set(game_after, coalition)[0][player][coalition]
+    before = _balanced_reward(game_before, player, coalition)
+    after = _balanced_reward(game_after, player, coalition)
     return CheckResult(
         "F4",
         Verdict.PASS if after - before > eps else Verdict.FAIL,
@@ -572,6 +578,6 @@ def check_all(
     The two-game strict-monotonicity check is excluded; it quantifies over
     pairs of games and is exposed separately as
     ``check_strict_monotonicity_pair``. The checks share one set of
-    numbers, so an exact table is scaled to integers once.
+    numbers: an exact game and table compare as the ints they store.
     """
     return AxiomReport(tuple(_run_checks(_SINGLE_MATRIX_CHECKS, game, matrix, tol)))

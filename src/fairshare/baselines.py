@@ -110,10 +110,12 @@ class RhoShapleyMatrix:
 
 
 def _scaled_table(
-    game: Game, rho: Scalar | int
-) -> tuple[list[list[Scalar]], list[list[int]] | None, list[int] | None]:
-    """Rows of the scaled-Shapley table; in exact mode also, per coalition,
-    the members' entries as integer numerators over one shared denominator.
+    game: Game, rho: Scalar | int, potential: tuple[dict[int, int | float], int | None]
+) -> tuple[RewardMatrix, list[list[int]] | None, list[int] | None]:
+    """The scaled-Shapley table; in exact mode also, per coalition, the
+    members' entries as integer numerators over one shared denominator.
+    ``potential`` is ``_potential`` of the game's values on the grand
+    coalition.
 
     With ``Φ_i = φ_i·n!·d`` from the integer potential and ``v(C) = p/q``,
     member i's exact share is ``Φ_i·p / (Φ_max·q)``, so ``Φ_max·q`` is the
@@ -134,7 +136,7 @@ def _scaled_table(
     dens = [1] * (1 << n) if exact else None
     power = float(rho)
 
-    q, scale = _potential(values, game.grand_coalition)
+    q, scale = potential
     for mask in range(1, 1 << n):
         phi = _shapley_from_potential(q, mask)
         phi_max = max(phi.values())
@@ -164,7 +166,7 @@ def _scaled_table(
                 rows[i][mask] = phi_i / phi_max * v_f
             else:
                 rows[i][mask] = (phi_i / phi_max) ** power * v_f
-    return rows, nums, dens
+    return RewardMatrix(n, tuple(tuple(row) for row in rows)), nums, dens
 
 
 def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
@@ -175,9 +177,8 @@ def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
     rho == 1; any other exponent forces float mode (the powers are
     irrational in general).
     """
-    rows = _scaled_table(game, rho)[0]
-    matrix = RewardMatrix(game.n_players, tuple(tuple(row) for row in rows))
-    return RhoShapleyMatrix(matrix, rho)
+    potential = _potential(game.values, game.grand_coalition)
+    return RhoShapleyMatrix(_scaled_table(game, rho, potential)[0], rho)
 
 
 class PairResidual(NamedTuple):
@@ -242,9 +243,10 @@ def compare_mechanisms(game: Game, rho: Scalar | int) -> ComparisonReport:
     entrywise difference against ``solve``; when rho forces float mode the
     balanced matrix is converted to float before differencing.
     """
-    rows, nums, dens = _scaled_table(game, rho)
+    potential = _potential(game.values, game.grand_coalition)
+    scaled, nums, dens = _scaled_table(game, rho, potential)
+    rows = scaled._numerators  # read only in float mode, where they are the floats
     n = game.n_players
-    scaled = RewardMatrix(n, tuple(tuple(row) for row in rows))
     balanced = solve(game).matrix
     if not scaled.exact and balanced.exact:
         balanced = balanced.as_float()
@@ -296,7 +298,7 @@ def compare_mechanisms(game: Game, rho: Scalar | int) -> ComparisonReport:
 
     # Both tables hold the solo value at every non-member entry and in
     # coalitions of one, so only members of larger coalitions differ.
-    brows = balanced.rewards
+    brows, b_den = balanced._numerators, balanced._denominator
     diffs = [[0.0 if nums is None else Fraction(0)] * (1 << n) for _ in range(n)]
     top_num, top_den = 0, 1
     for mask in range(3, 1 << n):
@@ -308,9 +310,9 @@ def compare_mechanisms(game: Game, rho: Scalar | int) -> ComparisonReport:
             continue
         d_c = dens[mask]
         for i in members(mask):
-            b = brows[i][mask]
-            x = nums[i][mask] * b.denominator - b.numerator * d_c
-            den = d_c * b.denominator
+            b, q = (brows[i][mask], b_den) if b_den else brows[i][mask].as_integer_ratio()
+            x = nums[i][mask] * q - b * d_c
+            den = d_c * q
             diffs[i][mask] = Fraction(x, den)
             if abs(x) * top_den > top_num * den:
                 top_num, top_den = abs(x), den

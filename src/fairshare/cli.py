@@ -19,12 +19,7 @@ from pathlib import Path
 import click
 
 from .axioms import AXIOM_NAMES, Tolerance, Verdict, check_all
-from .baselines import (
-    _potential,
-    _shapley_values,
-    compare_mechanisms,
-    scaled_rho_shapley,
-)
+from .baselines import _potential, _scaled_table, _shapley_values, compare_mechanisms
 from .errors import FairshareError, FileFormatError, SizeLimitExceededError
 from .formats import (
     FLOAT,
@@ -181,20 +176,20 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
     """Print per-coalition Shapley values; with --rho, the scaled reward table."""
     doc = _load_game(game_path)
     game = doc.game
+    # one potential serves the scaled table and every coalition's listing;
+    # a shapley() call per coalition would redo each down-set
+    potential = _potential(game.values, game.grand_coalition)
     # every input error surfaces before the listing is printed
     rendered = None
     if rho_text is not None:
-        scaled = scaled_rho_shapley(game, parse_rho(rho_text))
-        mode = FLOAT if not scaled.matrix.exact else doc.number_mode
-        rendered = serialize_matrix(MatrixDocument(scaled.matrix, doc.labels, mode, None), form)
+        matrix = _scaled_table(game, parse_rho(rho_text), potential)[0]
+        mode = FLOAT if not matrix.exact else doc.number_mode
+        rendered = serialize_matrix(MatrixDocument(matrix, doc.labels, mode, None), form)
     elif emit_path is not None:
         raise FileFormatError("--emit-matrix requires --rho")
     click.echo("shapley values per coalition:")
-    # one potential serves every coalition; a shapley() call per coalition
-    # would redo each down-set
-    q, scale = _potential(game.values, game.grand_coalition)
     for mask in sorted(range(1, game.num_coalitions), key=lambda m: (m.bit_count(), doc.key(m))):
-        phi = _shapley_values(q, scale, mask)
+        phi = _shapley_values(*potential, mask)
         inner = ", ".join(f"{doc.labels[i]}={format_scalar(x)}" for i, x in phi.items())
         click.echo(f"  {_braced(doc.labels, mask)}: {inner}")
     if rendered is None:

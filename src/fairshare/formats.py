@@ -329,6 +329,25 @@ def format_scalar(x: Scalar) -> str:
     return str(x)
 
 
+def _reward_texts(matrix: RewardMatrix, quote: str) -> list[list[str]]:
+    """Every entry's text, row by row: "p/q" in lowest terms (inside
+    ``quote``) or "p" for an exact number, ``repr`` for a float (JSON's
+    spelling for one that is not finite when ``quote`` is set)."""
+    d = matrix._denominator
+    if d is None:
+        text = _json_number if quote else str
+        return [list(map(text, row)) for row in matrix._numerators]
+    out = []
+    for row in matrix._numerators:
+        # each distinct numerator is reduced once: non-members all hold one
+        text = {}
+        for p in set(row):
+            g = math.gcd(p, d)
+            text[p] = str(p // d) if g == d else f"{quote}{p // g}/{d // g}{quote}"
+        out.append(list(map(text.__getitem__, row)))
+    return out
+
+
 def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
     """Render a reward table as "table" or "long" CSV, or as JSON."""
     labels = doc.labels
@@ -337,13 +356,14 @@ def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
         raise FileFormatError("label count does not match the matrix")
     keys = _coalition_keys(labels)
     order = _canonical_key_order(keys, range(matrix.num_coalitions))
-    rows = matrix.rewards
 
     if form == "json":
         json_keys = list(map(_json_string, keys))
         players = [_json_string(lab) + ": " for lab in labels]
         # cells[mask] holds one '"label": number' line per player
-        rendered = ([p + _json_number(x) for x in row] for p, row in zip(players, rows))
+        rendered = (
+            [p + x for x in row] for p, row in zip(players, _reward_texts(matrix, '"'))
+        )
         cells = list(zip(*rendered))
         rewards = (f"{json_keys[m]}: {_json_block('{}', cells[m], '    ')}" for m in order)
         fields = [
@@ -360,21 +380,20 @@ def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
             fields.append('"efficient_player": ' + _json_block("{}", lines, "  "))
         return _json_block("{}", fields, "") + "\n"
 
+    if form not in ("table", "long"):
+        raise FileFormatError(f'unknown format {form!r}; expected table, long, or json')
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    rows = _reward_texts(matrix, "")
     if form == "table":
         writer.writerow(["player", *(keys[m] for m in order)])
         for lab, row in zip(labels, rows):
-            writer.writerow([lab, *map(str, map(row.__getitem__, order))])
-    elif form == "long":
+            writer.writerow([lab, *map(row.__getitem__, order)])
+    else:
         writer.writerow(["player", "coalition", "reward"])
         ordered_keys = [keys[m] for m in order]
         for lab, row in zip(labels, rows):
-            writer.writerows(
-                zip(repeat(lab), ordered_keys, map(str, map(row.__getitem__, order)))
-            )
-    else:
-        raise FileFormatError(f'unknown format {form!r}; expected table, long, or json')
+            writer.writerows(zip(repeat(lab), ordered_keys, map(row.__getitem__, order)))
     return buf.getvalue()
 
 
@@ -593,15 +612,16 @@ def align_matrix_labels(
     source = [0] * width
     for mask, target in enumerate(remapped):
         source[target] = mask
-    rows: list[tuple[Scalar, ...]] = [()] * n
-    for i, row in enumerate(doc.matrix.rewards):
+    matrix = doc.matrix
+    rows: list[tuple] = [()] * n
+    for i, row in enumerate(matrix._numerators):
         rows[perm[i]] = tuple(map(row.__getitem__, source))
     efficient = None
     if doc.efficient_player is not None:
         efficient = {remapped[m]: perm[k] for m, k in doc.efficient_player.items()}
-    return MatrixDocument(
-        RewardMatrix(n, tuple(rows)), labels, doc.number_mode, efficient
-    )
+    # the same entries in another order keep their least denominator
+    aligned = RewardMatrix._stored(n, tuple(rows), matrix._denominator)
+    return MatrixDocument(aligned, labels, doc.number_mode, efficient)
 
 
 _RHO_SYMBOLIC = re.compile(

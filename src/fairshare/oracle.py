@@ -75,6 +75,9 @@ def brute_force_solve(game: Game) -> OracleResult:
     the lowest-index survivor; the ``unique`` flag records whether all
     survivors agreed entrywise, in float mode within that same slack.
 
+    An exact game runs on its ints over its common denominator, as the
+    solver does; that scaling in ``games.py`` is all the two share.
+
     Monotone games always admit at least one survivor, so
     NoFeasibleCandidateError signals a broken input (or a broken theory).
     """
@@ -82,7 +85,7 @@ def brute_force_solve(game: Game) -> OracleResult:
         raise SizeLimitExceededError(
             f"level-wise enumeration supports at most {LEVEL_WISE_MAX_PLAYERS} players"
         )
-    v = game.values
+    v = game._numerators
     n = game.n_players
     rows = [[v[1 << i]] * (1 << n) for i in range(n)]
     feasible: dict[int, tuple[int, ...]] = {}
@@ -122,7 +125,8 @@ def brute_force_solve(game: Game) -> OracleResult:
         for i, x in chosen.items():
             rows[i][mask] = x
 
-    matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
+    # every value of the game is an entry, so its denominator is the least
+    matrix = RewardMatrix._stored(n, tuple(tuple(row) for row in rows), game._denominator)
     return OracleResult(matrix, feasible, unique)
 
 
@@ -148,7 +152,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
         raise SizeLimitExceededError(
             f"global enumeration supports at most {GLOBAL_MAX_PLAYERS} players"
         )
-    v = game.values
+    v = game._numerators
     n = game.n_players
     tol = default_tolerance(game)
     ulps = _slack_ulps(game)
@@ -165,17 +169,20 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
         levels.append((mask, v[mask], -ulps * v[mask], v[mask] + ulps * v[mask], candidates))
 
     survivors: list[RewardMatrix] = []
-    seen: set[RewardMatrix] = set()
+    seen: set[tuple[tuple, ...]] = set()
     # entries of coalitions past the current depth are stale, and each is
     # rewritten before any deeper coalition or leaf reads it
     rows = [[v[1 << i]] * (1 << n) for i in range(n)]
 
     def search(depth: int) -> None:
         if depth == len(levels):
-            matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
-            if matrix in seen:
+            # every table here is over the game's denominator, so equal
+            # stored rows are equal tables
+            stored = tuple(tuple(row) for row in rows)
+            if stored in seen:
                 return
-            seen.add(matrix)
+            seen.add(stored)
+            matrix = RewardMatrix._stored(n, stored, game._denominator)
             passes = all(r.passed for r in _run_checks(_TABLE_AXIOMS, game, matrix, tol))
             if passes and not any(agree_up_to_rounding(game, matrix, s) for s in survivors):
                 survivors.append(matrix)

@@ -25,36 +25,81 @@ rounds relative to P, which grows to about n·v(N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, OutOfRangeError
-from .games import Game, Scalar, members
+from .games import Game, Scalar, _over_common_denominator, members
 
 # Maps each coalition of size >= 2 to the member whose reward equals the
 # coalition's full value.
 EfficientPlayerMap = dict[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class RewardMatrix:
     """Dense reward table: ``rewards[player][coalition_mask]``.
 
     One row per player, one column per coalition, 2**n_players columns.
-    Frozen and hashable so matrices can be compared and deduplicated
-    entrywise.
+    Frozen and hashable; tables with equal entries are == and hash equal.
+
+    An exact table is stored once, as ints over the least common
+    denominator of its entries (``_numerators`` over ``_denominator``),
+    and every layer computes on those ints. ``rewards`` gives the same
+    entries as Fractions; it is built on first read and then kept. A float
+    table, or an exact one past the denominator cap of
+    ``games._over_common_denominator``, keeps its entries as given, with
+    ``_denominator`` None.
     """
 
     n_players: int
-    rewards: tuple[tuple[Scalar, ...], ...]
+    _numerators: tuple[tuple, ...]
+    _denominator: int | None
 
-    def __post_init__(self):
-        width = 1 << self.n_players
-        if len(self.rewards) != self.n_players or any(
-            len(row) != width for row in self.rewards
-        ):
-            raise DimensionMismatchError(
-                f"reward table must be {self.n_players} x {width}"
-            )
+    def __init__(self, n_players: int, rewards: tuple[tuple[Scalar, ...], ...]):
+        width = 1 << n_players
+        if len(rewards) != n_players or any(len(row) != width for row in rewards):
+            raise DimensionMismatchError(f"reward table must be {n_players} x {width}")
+        numerators, d = _over_common_denominator(rewards)
+        object.__setattr__(self, "n_players", n_players)
+        object.__setattr__(self, "_numerators", numerators)
+        object.__setattr__(self, "_denominator", d)
+
+    @classmethod
+    def _stored(
+        cls, n_players: int, numerators: tuple[tuple, ...], denominator: int | None
+    ) -> "RewardMatrix":
+        """A table from rows already in stored form, over the least common
+        denominator of its entries, as the public constructor would find."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "n_players", n_players)
+        object.__setattr__(matrix, "_numerators", numerators)
+        object.__setattr__(matrix, "_denominator", denominator)
+        return matrix
+
+    @cached_property
+    def rewards(self) -> tuple[tuple[Scalar, ...], ...]:
+        d = self._denominator
+        if d is None:
+            return self._numerators
+        out = []
+        for row in self._numerators:
+            # non-members all hold the solo value: one Fraction serves them
+            entry = {p: Fraction(p, d) for p in set(row)}
+            out.append(tuple(map(entry.__getitem__, row)))
+        return tuple(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, RewardMatrix):
+            return NotImplemented
+        return self.n_players == other.n_players and self.rewards == other.rewards
+
+    def __hash__(self):
+        return hash((self.n_players, self.rewards))
+
+    def __repr__(self):
+        return f"RewardMatrix(n_players={self.n_players!r}, rewards={self.rewards!r})"
 
     @property
     def num_coalitions(self) -> int:
@@ -62,20 +107,17 @@ class RewardMatrix:
 
     @property
     def exact(self) -> bool:
-        return not isinstance(self.rewards[0][0], float)
+        return self._denominator is not None or not isinstance(
+            self._numerators[0][0], float
+        )
 
     def reward(self, player: int, coalition: int) -> Scalar:
         if not 0 <= player < self.n_players:
             raise OutOfRangeError(f"player {player} out of range")
         if not 0 <= coalition < self.num_coalitions:
             raise OutOfRangeError(f"coalition mask {coalition} out of range")
-        return self.rewards[player][coalition]
-
-    def column(self, coalition: int) -> tuple[Scalar, ...]:
-        """All players' rewards for one coalition."""
-        if not 0 <= coalition < self.num_coalitions:
-            raise OutOfRangeError(f"coalition mask {coalition} out of range")
-        return tuple(row[coalition] for row in self.rewards)
+        x = self._numerators[player][coalition]
+        return x if self._denominator is None else Fraction(x, self._denominator)
 
     def as_float(self) -> "RewardMatrix":
         return RewardMatrix(
@@ -103,8 +145,10 @@ def _fill_down_set(game: Game, top: int) -> tuple[list[list[Scalar]], EfficientP
     One pass over the submasks in ascending mask order, so every C∖i is
     done before C. Each entry depends only on its coalition's own
     submasks, so it comes out the same whatever ``top`` contains it.
+    Entries are in the game's stored form: ints over its denominator when
+    it has one, otherwise the values' own type.
     """
-    v = game.values
+    v = game._numerators
     n = game.n_players
     # Non-members always keep their solo value, and in coalitions of size
     # <= 1 every player's reward is their solo value, so seed the whole
@@ -132,8 +176,13 @@ def _fill_down_set(game: Game, top: int) -> tuple[list[list[Scalar]], EfficientP
 def solve(game: Game) -> SolveResult:
     """Compute the full reward table and the efficient player per coalition.
 
-    Deterministic: equal games give entrywise-equal matrices. In exact mode
-    every entry is a Fraction; in float mode, a float.
+    Deterministic: equal games give entrywise-equal matrices. An exact game
+    is solved on its ints over its common denominator, and the table keeps
+    them as they are; its ``rewards`` read as Fractions. A float game is
+    solved on its floats.
     """
     rows, efficient = _fill_down_set(game, game.grand_coalition)
-    return SolveResult(RewardMatrix(game.n_players, tuple(map(tuple, rows))), efficient)
+    # the table holds every value of the game (v(C) goes to C's efficient
+    # player, v({i}) to i alone), so the game's denominator is its least one
+    matrix = RewardMatrix._stored(game.n_players, tuple(map(tuple, rows)), game._denominator)
+    return SolveResult(matrix, efficient)

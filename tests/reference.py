@@ -22,6 +22,10 @@ solo values, with no pruning of the assignment space.
 and ``eager_compare_mechanisms`` are the Shapley baselines' former
 ``Fraction`` potential and scaled table, and the comparison that kept every
 ``PairResidual`` and took its summary from that tuple.
+``fraction_fill_down_set``, ``fraction_solve`` and
+``fraction_brute_force_solve`` are the solver's pass and the level-wise
+oracle as they ran before exact games were solved on integers: ``Fraction``
+arithmetic on every entry. ``column`` is the former ``RewardMatrix.column``.
 """
 
 from __future__ import annotations
@@ -36,19 +40,23 @@ from typing import Callable, NamedTuple, Sequence
 from fairshare import (
     CheckResult,
     DimensionMismatchError,
+    EfficientPlayerMap,
     OutOfRangeError,
     EmptyNotZeroError,
     Game,
     GameDocument,
     MatrixDocument,
     NegativeValueError,
+    NoFeasibleCandidateError,
     NotMonotoneError,
+    OracleResult,
     RewardMatrix,
     Scalar,
     SizeLimitExceededError,
     SolveResult,
     Tolerance,
     Verdict,
+    additive_game,
     coalition_key,
     coalitions_by_size,
     default_labels,
@@ -61,9 +69,17 @@ from fairshare import (
 from fairshare.axioms import DEFAULT_EPSILON, _run_checks, default_tolerance
 from fairshare.oracle import (
     GLOBAL_MAX_PLAYERS,
+    LEVEL_WISE_MAX_PLAYERS,
     _TABLE_AXIOMS,
     _slack_ulps,
     agree_up_to_rounding,
+)
+
+
+# A game whose values' common denominator passes 256 bits (the product of
+# three Mersenne primes), so it keeps its Fractions past the cap.
+WIDE_DENOMINATOR_GAME = additive_game(
+    [Fraction(1, 2**61 - 1), Fraction(1, 2**89 - 1), Fraction(1, 2**107 - 1), 1, Fraction(2, 3)]
 )
 
 
@@ -74,6 +90,13 @@ def random_games(sizes, per_size, seed0=0, max_increment=10):
         for _ in range(per_size):
             yield random_monotone_game(n, seed, max_increment)
             seed += 1
+
+
+def column(matrix: RewardMatrix, coalition: int) -> tuple[Scalar, ...]:
+    """All players' rewards for one coalition."""
+    if not 0 <= coalition < matrix.num_coalitions:
+        raise OutOfRangeError(f"coalition mask {coalition} out of range")
+    return tuple(row[coalition] for row in matrix.rewards)
 
 
 def lowest_member_anchor(coalition: int) -> int:
@@ -912,3 +935,108 @@ def eager_compare_mechanisms(game: Game, rho) -> EagerComparison:
         max_abs_diff=max(abs(d) for row in diffs for d in row),
         entry_diffs=diffs,
     )
+
+
+def fraction_fill_down_set(game: Game, top: int) -> tuple[list[list[Scalar]], EfficientPlayerMap]:
+    """Reward rows filled for every submask of ``top``, and their efficient
+    players; entries of coalitions outside that down-set keep solo values.
+
+    One pass over the submasks in ascending mask order, so every C∖i is
+    done before C. Each entry depends only on its coalition's own
+    submasks, so it comes out the same whatever ``top`` contains it.
+    """
+    v = game.values
+    n = game.n_players
+    # Non-members always keep their solo value, and in coalitions of size
+    # <= 1 every player's reward is their solo value, so seed the whole
+    # table with solo values and only overwrite members of larger coalitions.
+    rows = [[v[1 << i]] * (1 << n) for i in range(n)]
+    p = [v[0]] * (1 << n)
+    efficient: EfficientPlayerMap = {}
+    mask = 0
+    while mask != top:
+        mask = (mask - top) & top  # the next submask of top
+        mem = members(mask)
+        k = min(mem, key=lambda i: p[mask ^ (1 << i)])
+        v_c = v[mask]
+        p[mask] = v_c + p[mask ^ (1 << k)]
+        if len(mem) < 2:
+            continue
+        efficient[mask] = k
+        rows[k][mask] = v_c
+        for i in mem:
+            if i != k:
+                rows[i][mask] = v_c - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
+    return rows, efficient
+
+
+def fraction_solve(game: Game) -> SolveResult:
+    """``solve`` as it was before exact games ran on integers."""
+    rows, efficient = fraction_fill_down_set(game, game.grand_coalition)
+    return SolveResult(RewardMatrix(game.n_players, tuple(map(tuple, rows))), efficient)
+
+
+def fraction_brute_force_solve(game: Game) -> OracleResult:
+    """Level-wise enumeration of full-value candidates.
+
+    For each coalition (ascending size), every member k is tried as the
+    one rewarded the full value; the other members' rewards follow from
+    balanced reciprocity against the already-fixed smaller coalitions.
+    Rows with a negative entry or an entry above the coalition value are
+    discarded. Float mode lets an entry stray past either bound by
+    ``8·n·2⁻⁵²·v(C)``, the rounding that differencing sums of coalition
+    values can leave; by monotonicity every term is at most v(C), so the
+    slack scales with the coalition, not the game. Exact mode allows no
+    slack. The returned matrix uses
+    the lowest-index survivor; the ``unique`` flag records whether all
+    survivors agreed entrywise, in float mode within that same slack.
+
+    Monotone games always admit at least one survivor, so
+    NoFeasibleCandidateError signals a broken input (or a broken theory).
+    """
+    if game.n_players > LEVEL_WISE_MAX_PLAYERS:
+        raise SizeLimitExceededError(
+            f"level-wise enumeration supports at most {LEVEL_WISE_MAX_PLAYERS} players"
+        )
+    v = game.values
+    n = game.n_players
+    rows = [[v[1 << i]] * (1 << n) for i in range(n)]
+    feasible: dict[int, tuple[int, ...]] = {}
+    unique = True
+    ulps = _slack_ulps(game)
+
+    for mask in coalitions_by_size(n, min_size=2):
+        v_c = v[mask]
+        slack = ulps * v_c
+        hi = v_c + slack
+        mem = members(mask)
+        surviving_rows: dict[int, dict[int, Scalar]] = {}
+        for k in mem:
+            row = {k: v_c}
+            ok = True
+            for i in mem:
+                if i == k:
+                    continue
+                x = v_c - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
+                if x < -slack or x > hi:
+                    ok = False
+                    break
+                row[i] = x
+            if ok:
+                surviving_rows[k] = row
+        if not surviving_rows:
+            raise NoFeasibleCandidateError(mask)
+        survivors = tuple(surviving_rows)
+        feasible[mask] = survivors
+        chosen = surviving_rows[survivors[0]]
+        if any(
+            abs(x - chosen[i]) > slack
+            for k in survivors[1:]
+            for i, x in surviving_rows[k].items()
+        ):
+            unique = False
+        for i, x in chosen.items():
+            rows[i][mask] = x
+
+    matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
+    return OracleResult(matrix, feasible, unique)

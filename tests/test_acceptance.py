@@ -44,6 +44,7 @@ from fairshare import (
 )
 from reference import (
     anchored_solve,
+    column,
     highest_member_anchor,
     lowest_member_anchor,
     random_games,
@@ -96,9 +97,9 @@ def test_example1_full_table_is_reproduced_exactly():
         matrix = solve(game).matrix
         assert matrix.exact
         for mask, expected in GOLDEN_EXAMPLE1.items():
-            assert matrix.column(mask) == tuple(F(x) for x in expected), bin(mask)
-        assert matrix.column(0b1111) == (F(5), F(5), F(8), F(9))
-        assert matrix.column(0b1110) == (F(1), F(7), F(5), F(9))
+            assert column(matrix, mask) == tuple(F(x) for x in expected), bin(mask)
+        assert column(matrix, 0b1111) == (F(5), F(5), F(8), F(9))
+        assert column(matrix, 0b1110) == (F(1), F(7), F(5), F(9))
 
 
 def test_example1_variant_grand_rewards():
@@ -107,7 +108,7 @@ def test_example1_variant_grand_rewards():
         assert game.value(0b0101) == 5
         matrix = solve(game).matrix
         assert matrix.exact
-        assert matrix.column(0b1111) == (F(5), F(4), F(8), F(9))
+        assert column(matrix, 0b1111) == (F(5), F(4), F(8), F(9))
 
 
 def test_counterexample_tables_and_reciprocity_failure():
@@ -118,14 +119,14 @@ def test_counterexample_tables_and_reciprocity_failure():
         scaled = scaled_rho_shapley(game, 1).matrix
         assert scaled.exact
         assert scaled.reward(1, 0b110) == F(10, 3)
-        assert scaled.column(0b011) == (F(3, 2), F(3), F(3))
-        assert scaled.column(0b101) == (F(4, 3), F(2), F(4))
-        assert scaled.column(0b110) == (F(1), F(10, 3), F(5))
-        assert scaled.column(0b111) == (F(2), F(4), F(6))
+        assert column(scaled, 0b011) == (F(3, 2), F(3), F(3))
+        assert column(scaled, 0b101) == (F(4, 3), F(2), F(4))
+        assert column(scaled, 0b110) == (F(1), F(10, 3), F(5))
+        assert column(scaled, 0b111) == (F(2), F(4), F(6))
 
         # (b) the balanced table's grand coalition, exactly
         balanced = solve(game).matrix
-        assert balanced.column(0b111) == (F(3), F(5), F(6))
+        assert column(balanced, 0b111) == (F(3), F(5), F(6))
 
         # (c) the irrational exponent wipes out one distortion but not both
         rho = math.log2(3) - 1

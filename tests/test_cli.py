@@ -13,6 +13,7 @@ from fairshare import (
     coalition_key,
     default_labels,
     format_scalar,
+    members,
     parse_game,
     parse_matrix,
     parse_rho,
@@ -237,6 +238,37 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(c3_path), "--matrix", str(mpath)])
         assert result.exit_code == 2
         assert "R2 feasibility: fail" in result.output
+
+    def test_matrix_past_the_denominator_cap(self, runner, ex1_path, tmp_path):
+        # 17 entries each lowered by 1/p for a distinct 17-bit prime p: the
+        # table's common denominator passes 256 bits, so it is checked on
+        # its Fractions, and only balanced reciprocity breaks
+        doc = parse_game(ex1_path.read_text())
+        matrix, efficient = solve(doc.game)
+        primes = (p for p in range(2**16, 2**17) if all(p % q for q in range(2, 363)))
+        for mask, k in sorted(efficient.items()):
+            for i in members(mask):
+                if i != k:
+                    low = matrix.reward(i, mask) - Fraction(1, next(primes))
+                    matrix = matrix.replace_entry(i, mask, low)
+        text = serialize_matrix(MatrixDocument(matrix, doc.labels, "rational", None), "table")
+        assert parse_matrix(text).matrix._denominator is None
+        mpath = tmp_path / "primes.csv"
+        mpath.write_text(text)
+        result = runner.invoke(main, ["check", str(ex1_path), "--matrix", str(mpath)])
+        assert result.exit_code == 2
+        assert result.output == (
+            "R1 nonnegativity: pass\n"
+            "R2 feasibility: pass\n"
+            "R3 weak efficiency: pass\n"
+            "R4 individual rationality: pass\n"
+            "R5 non-participation: pass\n"
+            "F1 useless player: pass (vacuous)\n"
+            "F2 symmetry: pass (vacuous)\n"
+            "F3 strict desirability: pass\n"
+            "F5 balanced reciprocity: fail [coalition={1,2}, player_i=1, player_j=2, "
+            "gain_i=65536/65537, gain_j=1]\n"
+        )
 
     @pytest.mark.parametrize("count", [21, 1000])
     def test_matrix_with_too_many_players_exits_3(self, runner, c3_path, tmp_path, count):

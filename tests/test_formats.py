@@ -27,7 +27,7 @@ from fairshare import (
     serialize_matrix,
     solve,
 )
-from reference import dumps_game, dumps_matrix
+from reference import column, dumps_game, dumps_matrix
 
 
 def game_text(values: dict, players=None, mode=None) -> str:
@@ -233,7 +233,7 @@ class TestMatrixShapes:
         # the "" key is the empty coalition; every player holds their solo value
         text = serialize_matrix(solved_doc, "table")
         parsed = parse_matrix(text)
-        assert parsed.matrix.column(0) == solved_doc.matrix.column(0)
+        assert column(parsed.matrix, 0) == column(solved_doc.matrix, 0)
 
 
 class TestMatrixParseErrors:

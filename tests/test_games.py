@@ -26,7 +26,7 @@ from fairshare import (
     submasks,
     useless_players,
 )
-from fairshare import axioms, games
+from fairshare import axioms, baselines, formats, games, oracle, solver
 from reference import check_game_values, monotone_by_all_pairs
 
 
@@ -155,7 +155,7 @@ def _big_denominator_values(n, rng):
     for mask in coalitions_by_size(n, min_size=1):
         base = max(values[mask ^ (1 << i)] for i in members(mask))
         values[mask] = base + Fraction(rng.randint(1, 9), primes[mask])
-    assert games._common_denominator((values,)) is None
+    assert games._over_common_denominator((values,))[1] is None
     return values
 
 
@@ -163,8 +163,12 @@ class TestIntegerValidation:
     """Game checks exact values as ints over their common denominator, with
     the errors and witnesses of the Fraction scan in tests/reference.py."""
 
-    def test_axioms_share_the_common_denominator_helper(self):
-        assert axioms._common_denominator is games._common_denominator
+    def test_game_and_table_share_the_common_denominator_helper(self):
+        # the cap and its Fraction fallback are decided where games and
+        # tables are built; the checkers read what those stored
+        assert solver._over_common_denominator is games._over_common_denominator
+        for module in (axioms, baselines, formats, oracle):
+            assert not hasattr(module, "_over_common_denominator"), module
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_tampered_exact_games(self, n):

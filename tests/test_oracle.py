@@ -14,7 +14,7 @@ from fairshare import (
     solve,
 )
 from fairshare.oracle import agree_up_to_rounding
-from reference import product_enumeration_solve, random_games
+from reference import column, product_enumeration_solve, random_games
 
 
 class TestLevelWiseOracle:
@@ -75,7 +75,7 @@ class TestGlobalEnumerationOracle:
         g = Game(2, [0, 1, 1, 3])
         survivors = global_enumeration_solve(g)
         assert len(survivors) == 1
-        assert survivors[0].column(0b11) == (Fraction(3), Fraction(3))
+        assert column(survivors[0], 0b11) == (Fraction(3), Fraction(3))
 
     def test_exactly_one_table_survives_on_random_games(self):
         for g in random_games([2, 3, 4], 5, seed0=1700):

@@ -4,18 +4,32 @@ from fractions import Fraction
 import pytest
 
 from fairshare import (
+    RATIONAL,
     Game,
+    MatrixDocument,
     OutOfRangeError,
     RewardMatrix,
     additive_game,
+    align_matrix_labels,
+    brute_force_solve,
+    check_all,
     counterexample3_game,
+    default_labels,
+    example1_game,
     members,
+    parse_matrix,
     random_monotone_game,
+    serialize_matrix,
     solve,
 )
+from fairshare.axioms import _numbers
 from fairshare.oracle import agree_up_to_rounding
 from reference import (
+    WIDE_DENOMINATOR_GAME,
     anchored_solve,
+    column,
+    fraction_brute_force_solve,
+    fraction_solve,
     highest_member_anchor,
     lowest_member_anchor,
     random_games,
@@ -51,14 +65,14 @@ def test_example1_full_table(example1, example1_solution):
     solo = (1, 2, 1, 4)
     for mask in range(16):
         expected = EXAMPLE1_EXPECTED.get(mask, solo)
-        assert matrix.column(mask) == expected, f"coalition mask {mask}"
+        assert column(matrix, mask) == expected, f"coalition mask {mask}"
 
 
 def test_counterexample3_full_table(counterexample3):
     matrix, _ = solve(counterexample3)
     solo = (1, 2, 3)
     for mask in range(8):
-        assert matrix.column(mask) == COUNTEREXAMPLE3_EXPECTED.get(mask, solo)
+        assert column(matrix, mask) == COUNTEREXAMPLE3_EXPECTED.get(mask, solo)
 
 
 def test_two_player_worked_case():
@@ -66,14 +80,14 @@ def test_two_player_worked_case():
     # departure leaves {1}, takes the full value; P(N) = 3 + 1 = 4, and
     # player 1 ends at P(N) - P({2}) = 4 - 2 = 2
     matrix, efficient = solve(additive_game([1, 2]))
-    assert matrix.column(0b11) == (2, 3)
+    assert column(matrix, 0b11) == (2, 3)
     assert efficient == {0b11: 1}
 
 
 def test_small_coalitions_pay_solo_values_to_everyone(example1_solution):
     matrix, _ = example1_solution
     for mask in (0, 0b0001, 0b0010, 0b0100, 0b1000):
-        assert matrix.column(mask) == (1, 2, 1, 4)
+        assert column(matrix, mask) == (1, 2, 1, 4)
 
 
 def test_nonmembers_keep_solo_value(example1, example1_solution):
@@ -231,7 +245,7 @@ def test_reward_accessor_and_bounds(example1_solution):
     with pytest.raises(OutOfRangeError):
         matrix.reward(0, 16)
     with pytest.raises(OutOfRangeError):
-        matrix.column(16)
+        column(matrix, 16)
 
 
 def test_matrix_shape_validation():
@@ -265,4 +279,66 @@ def test_concurrent_solves_match_serial():
 def test_counterexample3_spot_values(counterexample3):
     matrix, _ = solve(counterexample3)
     assert matrix.reward(0, 0b101) == 2
-    assert matrix.column(0b111) == (3, 5, 6)
+    assert column(matrix, 0b111) == (3, 5, 6)
+
+
+def _differential_games():
+    for n in range(1, 10):
+        for seed in range(3):
+            yield f"exact-n{n}-s{seed}", random_monotone_game(n, seed)
+    yield "example1", example1_game()
+    yield "counterexample3", counterexample3_game()
+    yield "wide-denominator", WIDE_DENOMINATOR_GAME
+    yield "zero", Game(4, [0] * 16)
+    for k in (-6, -2, 0, 3, 12):
+        yield f"float-1e{k}/3", random_monotone_game(3 + k % 5, 40 + k, 10.0**k / 3)
+
+
+@pytest.mark.parametrize("name, game", list(_differential_games()))
+class TestIntegerPathMatchesFractionPath:
+    """Exact games run on ints over their common denominator (past the cap,
+    on their Fractions); the tables equal the former ``Fraction``
+    arithmetic's in value and type, and float tables match bit for bit."""
+
+    def test_solve(self, name, game):
+        got, want = solve(game), fraction_solve(game)
+        # repr tells Fraction from int and keeps every float bit
+        assert repr(got.matrix.rewards) == repr(want.matrix.rewards)
+        assert got.efficient_player == want.efficient_player
+
+    def test_brute_force_solve(self, name, game):
+        got, want = brute_force_solve(game), fraction_brute_force_solve(game)
+        assert repr(got.matrix.rewards) == repr(want.matrix.rewards)
+        assert got.feasible_candidates == want.feasible_candidates
+        assert got.unique == want.unique
+
+
+def test_wide_denominator_game_keeps_its_fractions():
+    assert WIDE_DENOMINATOR_GAME._denominator is None
+    assert solve(WIDE_DENOMINATOR_GAME).matrix._denominator is None
+
+
+def test_fraction_view_stays_unbuilt_from_solve_to_check():
+    game = random_monotone_game(6, 3, Fraction(10, 3))
+    labels = default_labels(6)
+    matrix = solve(game).matrix
+    assert matrix._denominator == game._denominator == 24
+    assert all(type(x) is int for row in matrix._numerators for x in row)
+    for form in ("table", "long", "json"):
+        text = serialize_matrix(MatrixDocument(matrix, labels, RATIONAL, None), form)
+        parsed = align_matrix_labels(parse_matrix(text), labels).matrix
+        assert _numbers(game, parsed, None).denominator == 24
+        assert check_all(game, parsed).all_pass
+        assert "rewards" not in vars(parsed), form
+        assert parsed._numerators == matrix._numerators
+    assert "rewards" not in vars(matrix)
+
+    # an int-backed table equals the same entries given as Fractions
+    fractions = tuple(
+        tuple(Fraction(p, game._denominator) for p in row) for row in matrix._numerators
+    )
+    assert {x.denominator for row in fractions for x in row} != {24}
+    built = RewardMatrix(6, fractions)
+    assert built == matrix and hash(built) == hash(matrix)
+    assert built.rewards == fractions
+    assert {built, matrix} == {matrix}
