@@ -25,7 +25,9 @@ column per coalition), "long" (CSV triples player,coalition,reward), and
 efficient player). Rationals render as "p/q", floats as their shortest
 round-trip decimal (``repr``), so every shape reads back the very table
 that was written. Only output meant for people (``format_scalar``) rounds
-floats to 12 significant digits.
+floats to 12 significant digits. One cell reader reads all three shapes,
+and any fault in a cell has one form, naming the cell by player label and
+coalition key: "bad number for player '1', coalition '1,2': 'x'".
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 
 from .errors import FileFormatError, NotMonotoneError
 from .games import Game, Scalar, _check_player_count, members
@@ -106,12 +109,19 @@ class MatrixDocument:
         return coalition_key(self.labels, mask)
 
 
-def _check_labels(labels) -> tuple[str, ...]:
-    if not isinstance(labels, list) or not labels:
+def _check_labels(players) -> tuple[str, ...]:
+    """Player labels from a "players" field (a count or a list of labels) or
+    from a CSV table's player column."""
+    if type(players) is int:  # not a bool
+        if players < 1:
+            raise FileFormatError('"players" count must be at least 1')
+        _check_player_count(players)
+        return default_labels(players)
+    if not isinstance(players, list) or not players:
         raise FileFormatError('"players" must be a positive count or a list of labels')
-    _check_player_count(len(labels))
+    _check_player_count(len(players))
     out = []
-    for lab in labels:
+    for lab in players:
         # type(), not isinstance(): a JSON number's text is a str subclass
         if type(lab) is not str or not lab or "," in lab or lab != lab.strip():
             raise FileFormatError(f"bad player label {lab!r}")
@@ -121,29 +131,26 @@ def _check_labels(labels) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _labels_from_players_field(players) -> tuple[str, ...]:
-    if isinstance(players, bool):
-        raise FileFormatError('"players" must be a positive count or a list of labels')
-    if isinstance(players, int):
-        if players < 1:
-            raise FileFormatError('"players" count must be at least 1')
-        _check_player_count(players)
-        return default_labels(players)
-    return _check_labels(players)
+class _KeyMasks(dict):
+    """Coalition key -> mask over ``labels``, each key parsed on first use."""
 
+    def __init__(self, labels: tuple[str, ...]):
+        super().__init__({"": 0})
+        self.labels = labels
+        self.bit_of = {lab: 1 << i for i, lab in enumerate(labels)}
 
-def _parse_coalition_key(key: str, index_of: dict[str, int]) -> int:
-    if key == "":
-        return 0
-    mask = 0
-    for part in key.split(","):
-        if part not in index_of:
-            raise FileFormatError(f"unknown player label {part!r} in coalition key {key!r}")
-        bit = 1 << index_of[part]
-        if mask & bit:
+    def __missing__(self, key: str) -> int:
+        parts = key.split(",")
+        try:
+            mask = sum(map(self.bit_of.__getitem__, parts))
+        except KeyError as exc:
+            message = f"unknown player label {exc.args[0]!r} in coalition key {key!r}"
+            raise FileFormatError(message) from None
+        if mask.bit_count() != len(parts):  # the sum carried: a label is repeated
+            part = next(p for i, p in enumerate(parts) if p in parts[:i])
             raise FileFormatError(f"player {part!r} repeated in coalition key {key!r}")
-        mask |= bit
-    return mask
+        self[key] = mask
+        return mask
 
 
 def _fraction(token: str) -> Fraction:
@@ -224,29 +231,35 @@ def _json_loads(text: str):
         raise FileFormatError(f"not valid JSON: {exc}") from None
 
 
-def parse_game(text: str) -> GameDocument:
-    """Parse a game file; raises FileFormatError or a game validation error."""
+def _read_header(text: str, what: str, body: str, *optional: str):
+    """(labels, number mode, document) of a game or JSON table file, whose
+    coalition-keyed objects sit under ``body`` and any ``optional`` field."""
     doc = _json_loads(text)
     if not isinstance(doc, dict):
-        raise FileFormatError("game file must be a JSON object")
-    unknown = set(doc) - {"players", "values", "number_mode"}
+        raise FileFormatError(f"{what} must be a JSON object")
+    unknown = set(doc) - {"players", "number_mode", body, *optional}
     if unknown:
         raise FileFormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
-    if "players" not in doc or "values" not in doc:
-        raise FileFormatError('game file needs "players" and "values"')
-    labels = _labels_from_players_field(doc["players"])
-    n = len(labels)
+    if "players" not in doc or body not in doc:
+        raise FileFormatError(f'{what} needs "players" and "{body}"')
+    labels = _check_labels(doc["players"])
     mode = doc.get("number_mode", RATIONAL)
     if mode not in (RATIONAL, FLOAT):
         raise FileFormatError(f'number_mode must be "rational" or "float", got {mode!r}')
-    raw_values = doc["values"]
-    if not isinstance(raw_values, dict):
-        raise FileFormatError('"values" must be an object keyed by coalition')
+    for field in (body, *optional):
+        if not isinstance(doc.get(field, {}), dict):
+            raise FileFormatError(f'"{field}" must be an object keyed by coalition')
+    return labels, mode, doc
 
-    index_of = {lab: i for i, lab in enumerate(labels)}
+
+def parse_game(text: str) -> GameDocument:
+    """Parse a game file; raises FileFormatError or a game validation error."""
+    labels, mode, doc = _read_header(text, "game file", "values")
+    n = len(labels)
+    mask_of = _KeyMasks(labels)
     table: list[Scalar | None] = [None] * (1 << n)
-    for key, raw in raw_values.items():
-        mask = _parse_coalition_key(key, index_of)
+    for key, raw in doc["values"].items():
+        mask = mask_of[key]
         if table[mask] is not None:
             raise FileFormatError(
                 f"duplicate coalition {coalition_key(labels, mask)!r}"
@@ -411,178 +424,115 @@ def _parse_csv_number(token: str) -> Scalar:
         raise ValueError from None
 
 
-def _csv_number_error(token: str, where: str) -> FileFormatError:
-    token = token.strip()
-    if not token:
-        return FileFormatError(f"empty number for {where}")
-    return FileFormatError(f"bad number for {where}: {token!r}")
+def _read_table(mask_of: _KeyMasks, runs, parse) -> RewardMatrix:
+    """The one cell reader: the table over ``mask_of.labels`` that ``runs`` fill.
 
+    A run is one player's cells, (label, keys, tokens), or one coalition's,
+    (labels, key, tokens). Its one label or key is resolved once, and a run
+    with the very keys list of the run before reuses its masks, so a cell
+    costs at most a dict hit, the duplicate check and ``parse`` (ValueError
+    when a token is not a finite number).
+    """
+    labels = mask_of.labels
+    table = [[None] * (1 << len(labels)) for _ in labels]
+    row_of = dict(zip(labels, table))
+    last_keys = masks = None
+    filled = 0
 
-def _first_cell(rows, bad) -> tuple[int, int]:
-    """(player, mask) of the first cell, row by row, for which ``bad`` holds."""
-    return next((i, m) for i, row in enumerate(rows) for m, x in enumerate(row) if bad(x))
+    def fault(what: str, row: list, mask: int, detail: str = "") -> FileFormatError:
+        label = next(lab for lab, r in row_of.items() if r is row)
+        key = coalition_key(labels, mask)
+        return FileFormatError(f"{what} for player {label!r}, coalition {key!r}{detail}")
 
-
-def _cell_name(labels: tuple[str, ...], i: int, mask: int) -> str:
-    return f"player {labels[i]!r}, coalition {coalition_key(labels, mask)!r}"
-
-
-def _fits_float(x) -> bool:
+    for first, second, tokens in runs:
+        if type(first) is str:
+            if second is not last_keys:
+                last_keys, masks = second, list(map(mask_of.__getitem__, second))
+            cells = zip(repeat(row_of[first]), masks, tokens)
+        else:
+            cells = zip(map(row_of.__getitem__, first), repeat(mask_of[second]), tokens)
+        try:
+            for row, mask, token in cells:
+                if row[mask] is not None:
+                    raise fault("duplicate reward", row, mask)
+                try:
+                    row[mask] = parse(token)
+                except ValueError:
+                    if isinstance(token, str) and not token.strip():
+                        raise fault("empty number", row, mask) from None
+                    raise fault("bad number", row, mask, f": {token!r}") from None
+        except KeyError as exc:  # from row_of alone: a coalition names an unknown player
+            label, key = exc.args[0], coalition_key(labels, mask_of[second])
+            raise FileFormatError(f"unknown player label {label!r}, coalition {key!r}") from None
+        filled += len(tokens)
+    if filled != len(labels) << len(labels):  # with no duplicates, a cell is missing
+        row, mask = next((r, m) for r in table for m, x in enumerate(r) if x is None)
+        raise fault("missing reward", row, mask)
     try:
-        float(x)
-    except OverflowError:
-        return False
-    return True
-
-
-def _finish_matrix(
-    labels: tuple[str, ...],
-    rows: list[list[Scalar | None]],
-    number_mode: str | None,
-    efficient: EfficientPlayerMap | None,
-) -> MatrixDocument:
-    """Build the matrix from per-player rows in which None marks a missing cell."""
-    types = set().union(*(map(type, row) for row in rows))
-    if type(None) in types:
-        i, m = _first_cell(rows, lambda x: x is None)
-        raise FileFormatError(f"missing reward for {_cell_name(labels, i, m)}")
-    is_float = number_mode == FLOAT or float in types
-    if is_float and types != {float}:
-        try:
-            rows = [[float(x) for x in row] for row in rows]
-        except OverflowError:
-            i, m = _first_cell(rows, lambda x: not _fits_float(x))
-            raise FileFormatError(
-                f"bad number for {_cell_name(labels, i, m)}: {rows[i][m]} is too large "
-                "for a float"
-            ) from None
-    return MatrixDocument(
-        RewardMatrix(len(labels), tuple(map(tuple, rows))),
-        labels,
-        FLOAT if is_float else RATIONAL,
-        efficient,
-    )
-
-
-def _parse_matrix_json(doc: dict) -> MatrixDocument:
-    unknown = set(doc) - {"players", "rewards", "number_mode", "efficient_player"}
-    if unknown:
-        raise FileFormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
-    if "players" not in doc or "rewards" not in doc:
-        raise FileFormatError('reward table needs "players" and "rewards"')
-    labels = _labels_from_players_field(doc["players"])
-    n = len(labels)
-    mode = doc.get("number_mode", RATIONAL)
-    if mode not in (RATIONAL, FLOAT):
-        raise FileFormatError(f'number_mode must be "rational" or "float", got {mode!r}')
-    index_of = {lab: i for i, lab in enumerate(labels)}
-    rewards = doc["rewards"]
-    if not isinstance(rewards, dict):
-        raise FileFormatError('"rewards" must be an object keyed by coalition')
-    rows: list[list[Scalar | None]] = [[None] * (1 << n) for _ in range(n)]
-    for key, per_player in rewards.items():
-        mask = _parse_coalition_key(key, index_of)
-        if not isinstance(per_player, dict):
-            raise FileFormatError(f"rewards for coalition {key!r} must be an object")
-        for lab, raw in per_player.items():
-            if lab not in index_of:
-                raise FileFormatError(f"unknown player label {lab!r}")
-            row = rows[index_of[lab]]
-            if row[mask] is not None:
-                raise FileFormatError(
-                    f"duplicate reward for player {lab!r} in coalition {key!r}"
-                )
-            try:
-                row[mask] = _parse_number(raw, mode)
-            except ValueError:
-                raise FileFormatError(
-                    f"bad number for player {lab!r} in coalition {key!r}: {raw!r}"
-                ) from None
-    efficient: EfficientPlayerMap | None = None
-    if "efficient_player" in doc:
-        efficient = {}
-        raw_map = doc["efficient_player"]
-        if not isinstance(raw_map, dict):
-            raise FileFormatError('"efficient_player" must be an object')
-        for key, lab in raw_map.items():
-            mask = _parse_coalition_key(key, index_of)
-            if type(lab) is not str or lab not in index_of:
-                raise FileFormatError(f"unknown player label {lab!r}")
-            efficient[mask] = index_of[lab]
-    return _finish_matrix(labels, rows, mode, efficient)
-
-
-def _parse_matrix_table_csv(rows: list[list[str]]) -> MatrixDocument:
-    header = rows[0]
-    if not header or header[0] != "player":
-        raise FileFormatError('wide CSV must start with a "player" header column')
-    body = [r for r in rows[1:] if r]
-    labels = _check_labels([r[0] for r in body])
-    index_of = {lab: i for i, lab in enumerate(labels)}
-    masks = [_parse_coalition_key(k, index_of) for k in header[1:]]
-    if len(set(masks)) != len(masks):
-        raise FileFormatError("duplicate coalition column")
-    width = 1 << len(labels)
-    table: list[list[Scalar | None]] = [[None] * width for _ in labels]
-    for row in body:
-        if len(row) != len(header):
-            raise FileFormatError(f"row for player {row[0]!r} has the wrong width")
-        out = table[index_of[row[0]]]
-        for mask, token in zip(masks, row[1:]):
-            try:
-                out[mask] = _parse_csv_number(token)
-            except ValueError:
-                raise _csv_number_error(
-                    token, f"player {row[0]!r}, coalition mask {mask}"
-                ) from None
-    return _finish_matrix(labels, table, None, None)
-
-
-def _parse_matrix_long_csv(rows: list[list[str]]) -> MatrixDocument:
-    body = [r for r in rows[1:] if r]
-    seen_labels: dict[str, None] = {}
-    for r in body:
-        if len(r) != 3:
-            raise FileFormatError("long CSV rows must be player,coalition,reward")
-        seen_labels[r[0]] = None
-    labels = _check_labels(list(seen_labels))
-    index_of = {lab: i for i, lab in enumerate(labels)}
-    width = 1 << len(labels)
-    table: list[list[Scalar | None]] = [[None] * width for _ in labels]
-    mask_of_key: dict[str, int] = {}
-    for lab, key, token in body:
-        mask = mask_of_key.get(key)
-        if mask is None:
-            mask = mask_of_key[key] = _parse_coalition_key(key, index_of)
-        row = table[index_of[lab]]
-        if row[mask] is not None:
-            raise FileFormatError(
-                f"duplicate reward for player {lab!r}, coalition {key!r}"
-            )
-        try:
-            row[mask] = _parse_csv_number(token)
-        except ValueError:
-            raise _csv_number_error(
-                token, f"player {lab!r}, coalition {key!r}"
-            ) from None
-    return _finish_matrix(labels, table, None, None)
+        return RewardMatrix(len(labels), tuple(map(tuple, table)))
+    except OverflowError:  # a float made the table float, and an exact entry overflows it
+        for row in table:
+            for mask, x in enumerate(row):
+                try:
+                    float(x)
+                except OverflowError:
+                    detail = f": {x} is too large for a float"
+                    raise fault("bad number", row, mask, detail) from None
+        raise
 
 
 def parse_matrix(text: str) -> MatrixDocument:
-    """Parse a reward table in any of the three shapes (detected from content)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = _json_loads(text)
-        if not isinstance(doc, dict):
-            raise FileFormatError("reward table file must be a JSON object")
-        return _parse_matrix_json(doc)
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
-    if not rows:
-        raise FileFormatError("empty reward table file")
-    if [c.strip() for c in rows[0]] == ["player", "coalition", "reward"]:
-        return _parse_matrix_long_csv(rows)
-    return _parse_matrix_table_csv(rows)
+    """Parse a reward table in any of the three shapes (detected from content).
+
+    Each shape turns its text into runs of cells and checks only its own
+    structure; ``_read_table`` reads the cells.
+    """
+    efficient: EfficientPlayerMap | None = None
+    parse = _parse_csv_number
+    if text.lstrip().startswith("{"):
+        labels, mode, doc = _read_header(text, "reward table file", "rewards", "efficient_player")
+        mask_of = _KeyMasks(labels)
+        if "efficient_player" in doc:
+            efficient = {}
+            for key, lab in doc["efficient_player"].items():
+                mask = mask_of[key]
+                bit = mask_of.bit_of.get(lab) if type(lab) is str else None
+                if bit is None:
+                    raise FileFormatError(f"unknown player label {lab!r}")
+                if not mask & bit:
+                    raise FileFormatError(f"efficient player {lab!r} is not in coalition {key!r}")
+                efficient[mask] = bit.bit_length() - 1
+        rewards = doc["rewards"]
+        for key, per_player in rewards.items():
+            if not isinstance(per_player, dict):
+                raise FileFormatError(f"rewards for coalition {key!r} must be an object")
+        runs = ((per_player, key, per_player.values()) for key, per_player in rewards.items())
+        parse = lambda raw: _parse_number(raw, mode)
+    else:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        if not rows:
+            raise FileFormatError("empty reward table file")
+        header, body = rows[0], rows[1:]
+        if not body:
+            raise FileFormatError("reward table has no player rows")
+        if [c.strip() for c in header] == ["player", "coalition", "reward"]:
+            if any(len(r) != 3 for r in body):
+                raise FileFormatError("long CSV rows must be player,coalition,reward")
+            mask_of = _KeyMasks(_check_labels(list(dict.fromkeys(r[0] for r in body))))
+            # one run per stretch of rows that share a player
+            stretches = (list(rs) for _, rs in groupby(body, itemgetter(0)))
+            runs = ((s[0][0], [r[1] for r in s], [r[2] for r in s]) for s in stretches)
+        else:
+            if header[0] != "player":
+                raise FileFormatError('wide CSV must start with a "player" header column')
+            mask_of = _KeyMasks(_check_labels([r[0] for r in body]))
+            for r in body:
+                if len(r) != len(header):
+                    raise FileFormatError(f"row for player {r[0]!r} has the wrong width")
+            keys = header[1:]
+            runs = ((r[0], keys, r[1:]) for r in body)
+    matrix = _read_table(mask_of, runs, parse)
+    return MatrixDocument(matrix, mask_of.labels, RATIONAL if matrix.exact else FLOAT, efficient)
 
 
 def align_matrix_labels(

@@ -47,10 +47,11 @@ class RewardMatrix:
     An exact table is stored once, as ints over the least common
     denominator of its entries (``_numerators`` over ``_denominator``),
     and every layer computes on those ints. ``rewards`` gives the same
-    entries as Fractions; it is built on first read and then kept. A float
-    table, or an exact one past the denominator cap of
-    ``games._over_common_denominator``, keeps its entries as given, with
-    ``_denominator`` None.
+    entries as Fractions; it is built on first read and then kept. As in
+    ``Game``, one float entry makes the whole table float. A float table,
+    or an exact one past the denominator cap of
+    ``games._over_common_denominator``, keeps its entries as given (floats
+    by ``float()``), with ``_denominator`` None.
     """
 
     n_players: int
@@ -62,6 +63,10 @@ class RewardMatrix:
         if len(rewards) != n_players or any(len(row) != width for row in rewards):
             raise DimensionMismatchError(f"reward table must be {n_players} x {width}")
         numerators, d = _over_common_denominator(rewards)
+        if d is None:
+            types = set().union(*(map(type, row) for row in rewards))
+            if float in types and types != {float}:
+                numerators = tuple(tuple(map(float, row)) for row in rewards)
         object.__setattr__(self, "n_players", n_players)
         object.__setattr__(self, "_numerators", numerators)
         object.__setattr__(self, "_denominator", d)

@@ -26,6 +26,10 @@ and ``eager_compare_mechanisms`` are the Shapley baselines' former
 ``fraction_brute_force_solve`` are the solver's pass and the level-wise
 oracle as they ran before exact games were solved on integers: ``Fraction``
 arithmetic on every entry. ``column`` is the former ``RewardMatrix.column``.
+``parse_matrix_by_shape`` is ``parse_matrix`` as it read each table shape
+through a loop of its own (``_parse_matrix_json``,
+``_parse_matrix_table_csv``, ``_parse_matrix_long_csv``) and finished all
+three in ``_finish_matrix``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from fairshare import (
     EfficientPlayerMap,
     OutOfRangeError,
     EmptyNotZeroError,
+    FileFormatError,
     Game,
     GameDocument,
     MatrixDocument,
@@ -67,6 +72,14 @@ from fairshare import (
     submasks,
 )
 from fairshare.axioms import DEFAULT_EPSILON, _run_checks, default_tolerance
+from fairshare.formats import (
+    FLOAT,
+    RATIONAL,
+    _check_labels,
+    _json_loads,
+    _parse_csv_number,
+    _parse_number,
+)
 from fairshare.oracle import (
     GLOBAL_MAX_PLAYERS,
     LEVEL_WISE_MAX_PLAYERS,
@@ -1040,3 +1053,200 @@ def fraction_brute_force_solve(game: Game) -> OracleResult:
 
     matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
     return OracleResult(matrix, feasible, unique)
+
+
+# The reward-table readers as they were before all three shapes shared one
+# cell reader: one loop per shape, each with its own label lookup, duplicate
+# check and number errors, and `_finish_matrix` to fill in the float rule.
+# `_check_labels` now reads a "players" count too, which the former
+# `_labels_from_players_field` did; `_parse_coalition_key` is the former
+# key parser, since folded into `formats._KeyMasks`.
+_labels_from_players_field = _check_labels
+
+
+def _parse_coalition_key(key: str, index_of: dict[str, int]) -> int:
+    if key == "":
+        return 0
+    mask = 0
+    for part in key.split(","):
+        if part not in index_of:
+            raise FileFormatError(f"unknown player label {part!r} in coalition key {key!r}")
+        bit = 1 << index_of[part]
+        if mask & bit:
+            raise FileFormatError(f"player {part!r} repeated in coalition key {key!r}")
+        mask |= bit
+    return mask
+
+
+def _csv_number_error(token: str, where: str) -> FileFormatError:
+    token = token.strip()
+    if not token:
+        return FileFormatError(f"empty number for {where}")
+    return FileFormatError(f"bad number for {where}: {token!r}")
+
+
+def _first_cell(rows, bad) -> tuple[int, int]:
+    """(player, mask) of the first cell, row by row, for which ``bad`` holds."""
+    return next((i, m) for i, row in enumerate(rows) for m, x in enumerate(row) if bad(x))
+
+
+def _cell_name(labels: tuple[str, ...], i: int, mask: int) -> str:
+    return f"player {labels[i]!r}, coalition {coalition_key(labels, mask)!r}"
+
+
+def _fits_float(x) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def _finish_matrix(
+    labels: tuple[str, ...],
+    rows: list[list[Scalar | None]],
+    number_mode: str | None,
+    efficient: EfficientPlayerMap | None,
+) -> MatrixDocument:
+    """Build the matrix from per-player rows in which None marks a missing cell."""
+    types = set().union(*(map(type, row) for row in rows))
+    if type(None) in types:
+        i, m = _first_cell(rows, lambda x: x is None)
+        raise FileFormatError(f"missing reward for {_cell_name(labels, i, m)}")
+    is_float = number_mode == FLOAT or float in types
+    if is_float and types != {float}:
+        try:
+            rows = [[float(x) for x in row] for row in rows]
+        except OverflowError:
+            i, m = _first_cell(rows, lambda x: not _fits_float(x))
+            raise FileFormatError(
+                f"bad number for {_cell_name(labels, i, m)}: {rows[i][m]} is too large "
+                "for a float"
+            ) from None
+    return MatrixDocument(
+        RewardMatrix(len(labels), tuple(map(tuple, rows))),
+        labels,
+        FLOAT if is_float else RATIONAL,
+        efficient,
+    )
+
+
+def _parse_matrix_json(doc: dict) -> MatrixDocument:
+    unknown = set(doc) - {"players", "rewards", "number_mode", "efficient_player"}
+    if unknown:
+        raise FileFormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
+    if "players" not in doc or "rewards" not in doc:
+        raise FileFormatError('reward table needs "players" and "rewards"')
+    labels = _labels_from_players_field(doc["players"])
+    n = len(labels)
+    mode = doc.get("number_mode", RATIONAL)
+    if mode not in (RATIONAL, FLOAT):
+        raise FileFormatError(f'number_mode must be "rational" or "float", got {mode!r}')
+    index_of = {lab: i for i, lab in enumerate(labels)}
+    rewards = doc["rewards"]
+    if not isinstance(rewards, dict):
+        raise FileFormatError('"rewards" must be an object keyed by coalition')
+    rows: list[list[Scalar | None]] = [[None] * (1 << n) for _ in range(n)]
+    for key, per_player in rewards.items():
+        mask = _parse_coalition_key(key, index_of)
+        if not isinstance(per_player, dict):
+            raise FileFormatError(f"rewards for coalition {key!r} must be an object")
+        for lab, raw in per_player.items():
+            if lab not in index_of:
+                raise FileFormatError(f"unknown player label {lab!r}")
+            row = rows[index_of[lab]]
+            if row[mask] is not None:
+                raise FileFormatError(
+                    f"duplicate reward for player {lab!r} in coalition {key!r}"
+                )
+            try:
+                row[mask] = _parse_number(raw, mode)
+            except ValueError:
+                raise FileFormatError(
+                    f"bad number for player {lab!r} in coalition {key!r}: {raw!r}"
+                ) from None
+    efficient: EfficientPlayerMap | None = None
+    if "efficient_player" in doc:
+        efficient = {}
+        raw_map = doc["efficient_player"]
+        if not isinstance(raw_map, dict):
+            raise FileFormatError('"efficient_player" must be an object')
+        for key, lab in raw_map.items():
+            mask = _parse_coalition_key(key, index_of)
+            if type(lab) is not str or lab not in index_of:
+                raise FileFormatError(f"unknown player label {lab!r}")
+            efficient[mask] = index_of[lab]
+    return _finish_matrix(labels, rows, mode, efficient)
+
+
+def _parse_matrix_table_csv(rows: list[list[str]]) -> MatrixDocument:
+    header = rows[0]
+    if not header or header[0] != "player":
+        raise FileFormatError('wide CSV must start with a "player" header column')
+    body = [r for r in rows[1:] if r]
+    labels = _check_labels([r[0] for r in body])
+    index_of = {lab: i for i, lab in enumerate(labels)}
+    masks = [_parse_coalition_key(k, index_of) for k in header[1:]]
+    if len(set(masks)) != len(masks):
+        raise FileFormatError("duplicate coalition column")
+    width = 1 << len(labels)
+    table: list[list[Scalar | None]] = [[None] * width for _ in labels]
+    for row in body:
+        if len(row) != len(header):
+            raise FileFormatError(f"row for player {row[0]!r} has the wrong width")
+        out = table[index_of[row[0]]]
+        for mask, token in zip(masks, row[1:]):
+            try:
+                out[mask] = _parse_csv_number(token)
+            except ValueError:
+                raise _csv_number_error(
+                    token, f"player {row[0]!r}, coalition mask {mask}"
+                ) from None
+    return _finish_matrix(labels, table, None, None)
+
+
+def _parse_matrix_long_csv(rows: list[list[str]]) -> MatrixDocument:
+    body = [r for r in rows[1:] if r]
+    seen_labels: dict[str, None] = {}
+    for r in body:
+        if len(r) != 3:
+            raise FileFormatError("long CSV rows must be player,coalition,reward")
+        seen_labels[r[0]] = None
+    labels = _check_labels(list(seen_labels))
+    index_of = {lab: i for i, lab in enumerate(labels)}
+    width = 1 << len(labels)
+    table: list[list[Scalar | None]] = [[None] * width for _ in labels]
+    mask_of_key: dict[str, int] = {}
+    for lab, key, token in body:
+        mask = mask_of_key.get(key)
+        if mask is None:
+            mask = mask_of_key[key] = _parse_coalition_key(key, index_of)
+        row = table[index_of[lab]]
+        if row[mask] is not None:
+            raise FileFormatError(
+                f"duplicate reward for player {lab!r}, coalition {key!r}"
+            )
+        try:
+            row[mask] = _parse_csv_number(token)
+        except ValueError:
+            raise _csv_number_error(
+                token, f"player {lab!r}, coalition {key!r}"
+            ) from None
+    return _finish_matrix(labels, table, None, None)
+
+
+def parse_matrix_by_shape(text: str) -> MatrixDocument:
+    """Parse a reward table in any of the three shapes (detected from content)."""
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        doc = _json_loads(text)
+        if not isinstance(doc, dict):
+            raise FileFormatError("reward table file must be a JSON object")
+        return _parse_matrix_json(doc)
+    rows = list(csv.reader(io.StringIO(text)))
+    rows = [r for r in rows if r]
+    if not rows:
+        raise FileFormatError("empty reward table file")
+    if [c.strip() for c in rows[0]] == ["player", "coalition", "reward"]:
+        return _parse_matrix_long_csv(rows)
+    return _parse_matrix_table_csv(rows)

@@ -278,6 +278,25 @@ class TestCheck:
         assert result.exit_code == 3
         assert f"error: {count} players exceed MAX_PLAYERS = 20" in result.stderr
 
+    @pytest.mark.parametrize("header", ["player,,1,2,3,\"1,2\"", "player,coalition,reward"])
+    def test_matrix_without_player_rows_exits_1(self, runner, c3_path, tmp_path, header):
+        mpath = tmp_path / "empty.csv"
+        mpath.write_text(header + "\n")
+        result = runner.invoke(main, ["check", str(c3_path), "--matrix", str(mpath)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: reward table has no player rows\n"
+
+    def test_bad_cell_exits_1_naming_player_and_coalition(self, runner, c3_path, tmp_path):
+        mpath = tmp_path / "bad.csv"
+        result = runner.invoke(main, ["solve", str(c3_path), "-o", str(mpath)])
+        assert result.exit_code == 0, result.output
+        rows = mpath.read_text().splitlines()
+        rows[2] = rows[2].rsplit(",", 1)[0] + ",x"
+        mpath.write_text("\n".join(rows) + "\n")
+        result = runner.invoke(main, ["check", str(c3_path), "--matrix", str(mpath)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: bad number for player '2', coalition '1,2,3': 'x'\n"
+
     def test_tolerance_flag(self, runner, tmp_path):
         game_text = json.dumps(
             {

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,13 @@ from fairshare import (
     MatrixDocument,
     NegativeValueError,
     NotMonotoneError,
+    RewardMatrix,
     SizeLimitExceededError,
     align_matrix_labels,
     coalition_key,
     default_labels,
     format_scalar,
+    members,
     parse_game,
     parse_matrix,
     parse_rho,
@@ -27,7 +30,7 @@ from fairshare import (
     serialize_matrix,
     solve,
 )
-from reference import column, dumps_game, dumps_matrix
+from reference import column, dumps_game, dumps_matrix, parse_matrix_by_shape
 
 
 def game_text(values: dict, players=None, mode=None) -> str:
@@ -283,6 +286,133 @@ class TestMatrixParseErrors:
         with pytest.raises(FileFormatError, match="unknown player label '2'"):
             parse_matrix(text)
 
+    @pytest.mark.parametrize("text", ["player,,1\n", "player,coalition,reward\n\n"])
+    def test_csv_without_player_rows(self, text):
+        with pytest.raises(FileFormatError, match="reward table has no player rows"):
+            parse_matrix(text)
+
+    @pytest.mark.parametrize(
+        "efficient,message",
+        [
+            ('{"2": "1", "": "2"}', "efficient player '1' is not in coalition '2'"),
+            ('{"": "2"}', "efficient player '2' is not in coalition ''"),
+        ],
+    )
+    def test_json_efficient_player_must_be_a_member(self, efficient, message):
+        rewards = '{"": {"1": 1, "2": 1}, "1": {"1": 1, "2": 1}, "2": {"1": 1, "2": 1}}'
+        text = f'{{"players": 2, "rewards": {rewards}, "efficient_player": {efficient}}}'
+        with pytest.raises(FileFormatError, match=message):
+            parse_matrix(text)
+
+
+# A two-player table on labels "a" and "b", as (label, coalition key, token)
+# cells, and the same table in floats.
+BASE_CELLS = [(lab, key, f"{i + 1}") for i, lab in enumerate("ab") for key in ("", "a", "b", "a,b")]
+FLOAT_CELLS = [(lab, key, f"{tok}.5") for lab, key, tok in BASE_CELLS]
+
+
+def _cells_text(shape: str, cells, mode: str = "rational") -> str:
+    """``cells`` in one table shape; the wide shape needs every label in
+    every column it names."""
+    if shape == "json":
+        rewards: dict = {}
+        for lab, key, tok in cells:
+            rewards.setdefault(key, {})[lab] = tok
+        return json.dumps({"players": ["a", "b"], "number_mode": mode, "rewards": rewards})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if shape == "long":
+        writer.writerow(["player", "coalition", "reward"])
+        writer.writerows(cells)
+        return buf.getvalue()
+    keys = list(dict.fromkeys(key for _, key, _ in cells))
+    token = {(lab, key): tok for lab, key, tok in cells}
+    writer.writerow(["player", *keys])
+    for lab in dict.fromkeys(lab for lab, _, _ in cells):
+        writer.writerow([lab, *(token[lab, key] for key in keys)])
+    return buf.getvalue()
+
+
+def _with(cells, key: str, token: str, label: str = "a"):
+    return [(lab, k, token if (lab, k) == (label, key) else tok) for lab, k, tok in cells]
+
+
+HUGE_TOKEN = "1" + "0" * 400
+
+# fault -> (cells, number mode, shapes, faulty (label, key), start of message)
+CELL_FAULTS = {
+    "unknown-player-in-key": (
+        BASE_CELLS + [(lab, "a,c", "1") for lab in "ab"], "rational", ("json", "table", "long"),
+        ("c", "a,c"), "unknown player label",
+    ),
+    "unknown-player": (
+        BASE_CELLS + [("c", "a,b", "1")], "rational", ("json",), ("c", "a,b"),
+        "unknown player label",
+    ),
+    "duplicate": (
+        BASE_CELLS + [(lab, "b,a", "1") for lab in "ab"], "rational", ("json", "table", "long"),
+        ("a", "a,b"), "duplicate reward",
+    ),
+    "bad-number": (
+        _with(BASE_CELLS, "a,b", "x"), "rational", ("json", "table", "long"), ("a", "a,b"),
+        "bad number",
+    ),
+    "empty-number": (
+        _with(BASE_CELLS, "a,b", " "), "rational", ("json", "table", "long"), ("a", "a,b"),
+        "empty number",
+    ),
+    "missing": (
+        [c for c in BASE_CELLS if c[1] != "a,b"], "rational", ("json", "table", "long"),
+        ("a", "a,b"), "missing reward",
+    ),
+    "too-large-for-a-float": (
+        _with(FLOAT_CELLS, "a,b", HUGE_TOKEN), "float", ("json", "table", "long"),
+        ("a", "a,b"), "bad number",
+    ),
+}
+FAULT_CASES = [
+    (fault, shape) for fault, (_, _, shapes, _, _) in CELL_FAULTS.items() for shape in shapes
+]
+
+
+class TestOneErrorForm:
+    """Every shape names a bad cell the same way: by player label and
+    coalition key, never by mask."""
+
+    @pytest.mark.parametrize("fault,shape", FAULT_CASES)
+    def test_cell_fault_names_label_and_key(self, fault, shape):
+        cells, mode, _, (label, key), what = CELL_FAULTS[fault]
+        with pytest.raises(FileFormatError) as info:
+            parse_matrix(_cells_text(shape, cells, mode))
+        message = str(info.value)
+        assert message.startswith(what), message
+        assert repr(label) in message and repr(key) in message, message
+        assert "mask" not in message
+        if not fault.startswith("unknown"):
+            assert f"{what} for player {label!r}, coalition {key!r}" in message
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("extra", 1),
+            ("players", 0),
+            ("players", True),
+            ("players", "ab"),
+            ("players", ["a", "a"]),
+            ("number_mode", "decimal"),
+            ("BODY", [1, 2]),
+        ],
+    )
+    def test_game_and_table_share_header_faults(self, field, value):
+        messages = []
+        for parse, body in ((parse_game, "values"), (parse_matrix, "rewards")):
+            doc = {"players": 2, body: {"1": 1, "2": 1, "1,2": 2}}
+            doc[body if field == "BODY" else field] = value
+            with pytest.raises(FileFormatError) as info:
+                parse(json.dumps(doc))
+            messages.append(str(info.value).replace(body, "BODY"))
+        assert messages[0] == messages[1]
+
 
 def _oversized_file(route: str, count: int) -> tuple:
     """A file on ``route`` declaring ``count`` players, with its parser."""
@@ -463,7 +593,7 @@ class TestFloatOverflow:
                 parse_matrix,
                 '{"players": 1, "number_mode": "float", '
                 '"rewards": {"": {"1": 0.5}, "1": {"1": 1e400}}}',
-                "player '1' in coalition '1'",
+                "player '1', coalition '1'",
             ),
             (parse_matrix, f"player,,1\n1,0.5,{HUGE}\n", "player '1', coalition '1'"),
             (
@@ -514,6 +644,65 @@ def _writer_cases():
 
 
 WRITER_CASES = list(_writer_cases())
+
+
+def _outcome(parse, text: str):
+    """What a reader makes of ``text``: its table (entry types and values),
+    number mode, labels and efficient players, or the class of its error."""
+    try:
+        doc = parse(text)
+    except Exception as exc:  # the error's class is the outcome
+        return type(exc)
+    return repr(doc.matrix.rewards), doc.number_mode, doc.labels, doc.efficient_player
+
+
+def _random_doc(n: int, mode: str) -> MatrixDocument:
+    """A table of random entries, not a solved one, with random efficient players."""
+    rng = random.Random(n * 10 + (mode == "float"))
+    labels = tuple(rng.sample(["a", "b", "c", "10", "2", "z", "q", "x y"], n))
+    if mode == "float":
+        pick = lambda: rng.choice([rng.uniform(-1e3, 1e3), 0.0, -0.0, rng.random() * 1e-300])
+    else:
+        pick = lambda: Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 7, 12]))
+    rows = tuple(tuple(pick() for _ in range(1 << n)) for _ in range(n))
+    efficient = {m: rng.choice(members(m)) for m in range(1 << n) if m.bit_count() >= 2}
+    return MatrixDocument(RewardMatrix(n, rows), labels, mode, efficient)
+
+
+class TestReaderMatchesFormerReaders:
+    """The one cell reader gives what the three former per-shape readers
+    (tests/reference.py) gave: the same table, number mode, labels and
+    efficient players, or the same class of error."""
+
+    @pytest.mark.parametrize("form", ["json", "table", "long"])
+    @pytest.mark.parametrize(
+        "mdoc", [c[1] for c in WRITER_CASES], ids=[c[0] for c in WRITER_CASES]
+    )
+    def test_writer_cases(self, mdoc, form):
+        text = serialize_matrix(mdoc, form)
+        assert _outcome(parse_matrix, text) == _outcome(parse_matrix_by_shape, text)
+
+    @pytest.mark.parametrize("form", ["json", "table", "long"])
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_tables(self, n, mode, form):
+        text = serialize_matrix(_random_doc(n, mode), form)
+        outcome = _outcome(parse_matrix, text)
+        assert outcome == _outcome(parse_matrix_by_shape, text)
+        assert not isinstance(outcome, type)
+
+    @pytest.mark.parametrize("fault,shape", FAULT_CASES)
+    def test_malformed_tables(self, fault, shape):
+        cells, mode, *_ = CELL_FAULTS[fault]
+        text = _cells_text(shape, cells, mode)
+        assert _outcome(parse_matrix, text) == _outcome(parse_matrix_by_shape, text)
+
+    @pytest.mark.parametrize("form", ["table", "long"])
+    def test_one_float_token_makes_a_csv_table_float(self, form):
+        text = _cells_text(form, _with(BASE_CELLS, "a,b", "0.5"))
+        outcome = _outcome(parse_matrix, text)
+        assert outcome == _outcome(parse_matrix_by_shape, text)
+        assert outcome[1] == "float"
 
 
 class TestDirectWriter:

@@ -124,6 +124,28 @@ def test_float_game_yields_float_matrix():
     assert all(isinstance(x, float) for row in matrix.rewards for x in row)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((0, 1.0),),
+        ((0.0, 1),),
+        ((Fraction(1, 3), 1.0),),
+        ((Fraction(1), float("nan")),),
+        ((float("-inf"), 7),),
+    ],
+)
+def test_any_float_entry_makes_the_whole_table_float(rows):
+    # as in Game, whichever entry comes first; plain float(), no finiteness check
+    matrix = RewardMatrix(1, rows)
+    assert not matrix.exact
+    assert repr(matrix.rewards[0]) == repr(tuple(map(float, rows[0])))
+
+
+def test_exact_entry_too_large_for_a_float_table():
+    with pytest.raises(OverflowError):
+        RewardMatrix(1, ((Fraction(2**2000), 0.5),))
+
+
 def test_single_player_game():
     matrix, efficient = solve(Game(1, [0, 5]))
     assert matrix.rewards == ((5, 5),)
