@@ -21,21 +21,21 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
 from .games import Game, Scalar, members, submasks
 from .solver import RewardMatrix, _fill_down_set
 
-DEFAULT_EPSILON = 1e-9
-
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Comparison policy: exact, or absolute-epsilon for float tables.
+    """Comparison policy: exact, an absolute epsilon, or the rounding rule.
 
     Under absolute(eps), values within eps are equal and "strictly greater"
-    means exceeding by more than eps. Exact compares with eps 0.
+    means exceeding by more than eps. Exact compares with eps 0. The rounding
+    rule, ``default_tolerance``'s for float inputs, allows each coalition C
+    ``8·n·2⁻⁵²·v(C)``; it reads as epsilon 0.0, which ``absolute`` refuses.
     """
 
     epsilon: Scalar | None = None
@@ -58,16 +58,27 @@ class Tolerance:
 
 
 def default_tolerance(*tables: Game | RewardMatrix) -> Tolerance:
-    """Exact when every game and table given is rational, absolute 1e-9 otherwise."""
-    if all(t.exact for t in tables):
-        return Tolerance.exact()
-    return Tolerance.absolute(DEFAULT_EPSILON)
+    """Exact when every game and table given is rational, the rounding rule otherwise."""
+    tol = Tolerance.exact()
+    if not all(t.exact for t in tables):
+        object.__setattr__(tol, "epsilon", 0.0)  # the rounding rule, see Tolerance
+    return tol
 
 
-def _epsilon(tol: Tolerance | None, *tables: Game | RewardMatrix) -> Scalar:
-    """The eps that ``tol`` (by default, the tables' default) compares with."""
+def _slacks(tol: Tolerance | None, values: Iterable, *tables: Game | RewardMatrix) -> list:
+    """Per coalition mask, the slack every verdict on it allows under ``tol``
+    (by default the tables' ``default_tolerance``), with v(C) from ``values``.
+
+    The rounding rule's ``8·n·2⁻⁵²·v(C)`` bounds the rounding of sums and
+    differences of about n terms, each at most v(C) in a monotone game
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 2-3).
+    """
     tol = tol or default_tolerance(*tables)
-    return 0 if tol.is_exact else tol.epsilon
+    n = tables[0].n_players
+    if not tol.is_exact and not tol.epsilon:  # the rounding rule
+        ulps = 8 * n * 2.0**-52
+        return [ulps * float(v) for v in values]
+    return [tol.epsilon or 0] * (1 << n)
 
 
 class Verdict(enum.Enum):
@@ -126,18 +137,12 @@ class AxiomReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _require_same_shape(game: Game, matrix: RewardMatrix) -> None:
-    if matrix.n_players != game.n_players:
-        raise DimensionMismatchError(
-            f"matrix has {matrix.n_players} players, game has {game.n_players}"
-        )
-
-
 class _Numbers(NamedTuple):
     """Game values and reward rows as every single-table checker compares them.
 
-    A comparison allows ``eps``: equal means ``abs(a - b) <= eps``, at most
-    means ``a - b <= eps``, strictly greater means ``a - b > eps``. When
+    A comparison allows ``eps[C]`` for the smallest coalition C whose value
+    bounds both sides: equal means ``abs(a - b) <= eps[C]``, at most means
+    ``a - b <= eps[C]``, strictly greater means ``a - b > eps[C]``. When
     ``denominator`` is set, the numbers are the game's and the table's
     stored ints over that shared denominator, and eps is 0; otherwise they
     are the entries themselves.
@@ -145,7 +150,7 @@ class _Numbers(NamedTuple):
 
     values: Sequence
     rows: Sequence[Sequence]
-    eps: Scalar
+    eps: Sequence[Scalar]
     denominator: int | None
 
     def unscale(self, x):
@@ -161,21 +166,24 @@ def _numbers(game: Game, matrix: RewardMatrix, tol: Tolerance | None) -> _Number
     positive, so every ==, <= and < keeps its verdict. Any other pair, a
     tampered table with a new denominator say, is compared as its entries.
     """
-    _require_same_shape(game, matrix)
-    eps = _epsilon(tol, game, matrix)
+    if matrix.n_players != game.n_players:
+        raise DimensionMismatchError(
+            f"matrix has {matrix.n_players} players, game has {game.n_players}"
+        )
+    eps = _slacks(tol, game.values, game, matrix)
     d = game._denominator
-    if not eps and d is not None and d == matrix._denominator:
-        return _Numbers(game._numerators, matrix._numerators, 0, d)
+    if d is not None and d == matrix._denominator and not any(eps):
+        return _Numbers(game._numerators, matrix._numerators, eps, d)
     return _Numbers(game.values, matrix.rewards, eps, None)
 
 
 def _nonnegativity(nums: _Numbers) -> CheckResult:
     """R1: every member's reward is nonnegative."""
-    rows, eps = nums.rows, nums.eps
-    for mask in range(len(nums.values)):
+    rows = nums.rows
+    for mask, e in enumerate(nums.eps):
         for i in members(mask):
             r = rows[i][mask]
-            if not 0 - r <= eps:
+            if not 0 - r <= e:
                 return CheckResult(
                     "R1",
                     Verdict.FAIL,
@@ -186,11 +194,11 @@ def _nonnegativity(nums: _Numbers) -> CheckResult:
 
 def _feasibility(nums: _Numbers) -> CheckResult:
     """R2: no member's reward exceeds the coalition's value."""
-    rows, eps = nums.rows, nums.eps
-    for mask, v_c in enumerate(nums.values):
+    rows = nums.rows
+    for mask, (v_c, e) in enumerate(zip(nums.values, nums.eps)):
         for i in members(mask):
             r = rows[i][mask]
-            if not r - v_c <= eps:
+            if not r - v_c <= e:
                 return CheckResult(
                     "R2",
                     Verdict.FAIL,
@@ -206,12 +214,12 @@ def _feasibility(nums: _Numbers) -> CheckResult:
 
 def _weak_efficiency(nums: _Numbers) -> CheckResult:
     """R3: in every non-empty coalition some member gets the full value."""
-    rows, eps = nums.rows, nums.eps
-    for mask, v_c in enumerate(nums.values):
+    rows = nums.rows
+    for mask, (v_c, e) in enumerate(zip(nums.values, nums.eps)):
         if not mask:
             continue
         mem = members(mask)
-        if not any(abs(rows[i][mask] - v_c) <= eps for i in mem):
+        if not any(abs(rows[i][mask] - v_c) <= e for i in mem):
             return CheckResult(
                 "R3",
                 Verdict.FAIL,
@@ -227,11 +235,11 @@ def _weak_efficiency(nums: _Numbers) -> CheckResult:
 def _individual_rationality(nums: _Numbers) -> CheckResult:
     """R4: nobody, member or not, is ever rewarded below their solo value."""
     rows, eps = nums.rows, nums.eps
-    solo = [(i, row, nums.values[1 << i]) for i, row in enumerate(rows)]
+    solo = [(i, 1 << i, row, nums.values[1 << i]) for i, row in enumerate(rows)]
     for mask in range(len(nums.values)):
-        for i, row, v_i in solo:
+        for i, bit, row, v_i in solo:
             r = row[mask]
-            if not v_i - r <= eps:
+            if not v_i - r <= eps[mask | bit]:
                 return CheckResult(
                     "R4",
                     Verdict.FAIL,
@@ -254,7 +262,7 @@ def _nonparticipation(nums: _Numbers) -> CheckResult:
             if mask & bit:
                 continue
             r = row[mask]
-            if not abs(r - v_i) <= eps:
+            if not abs(r - v_i) <= eps[mask | bit]:
                 return CheckResult(
                     "R5",
                     Verdict.FAIL,
@@ -270,15 +278,15 @@ def _nonparticipation(nums: _Numbers) -> CheckResult:
 
 def useless_players(game: Game, tol: Tolerance | None = None) -> list[int]:
     """Players whose joining never changes any coalition's value."""
-    return _useless_players(game.values, _epsilon(tol, game))
+    return _useless_players(game.values, _slacks(tol, game.values, game))
 
 
-def _useless_players(values: Sequence, eps: Scalar) -> list[int]:
+def _useless_players(values: Sequence, eps: Sequence) -> list[int]:
     grand = len(values) - 1
     out = []
     for u in range(grand.bit_length()):
         bit = 1 << u
-        if all(abs(values[sub] - values[sub | bit]) <= eps for sub in submasks(grand ^ bit)):
+        if all(abs(values[s] - values[s | bit]) <= eps[s | bit] for s in submasks(grand ^ bit)):
             out.append(u)
     return out
 
@@ -288,7 +296,8 @@ def _uselessness(nums: _Numbers) -> CheckResult:
 
     For each useless player u: (a) u's reward is zero in every coalition,
     and (b) adding u to any coalition leaves the other members' rewards
-    unchanged. Vacuous when the game has no useless player.
+    unchanged. Vacuous when the game has no useless player. Entries of C
+    and of C∪{u} compare on C∪{u}'s slack.
     """
     rows, eps = nums.rows, nums.eps
     useless = _useless_players(nums.values, eps)
@@ -297,7 +306,7 @@ def _uselessness(nums: _Numbers) -> CheckResult:
     for u in useless:
         bit = 1 << u
         for mask, r in enumerate(rows[u]):
-            if not abs(r) <= eps:
+            if not abs(r) <= eps[mask | bit]:
                 return CheckResult(
                     "F1",
                     Verdict.FAIL,
@@ -309,7 +318,7 @@ def _uselessness(nums: _Numbers) -> CheckResult:
             for i in members(mask):
                 without = rows[i][mask]
                 with_u = rows[i][mask | bit]
-                if not abs(without - with_u) <= eps:
+                if not abs(without - with_u) <= eps[mask | bit]:
                     return CheckResult(
                         "F1",
                         Verdict.FAIL,
@@ -326,10 +335,10 @@ def _uselessness(nums: _Numbers) -> CheckResult:
 
 def symmetric_pairs(game: Game, tol: Tolerance | None = None) -> list[tuple[int, int]]:
     """Unordered pairs that contribute identically to every outside coalition."""
-    return _symmetric_pairs(game.values, _epsilon(tol, game))
+    return _symmetric_pairs(game.values, _slacks(tol, game.values, game))
 
 
-def _symmetric_pairs(values: Sequence, eps: Scalar) -> list[tuple[int, int]]:
+def _symmetric_pairs(values: Sequence, eps: Sequence) -> list[tuple[int, int]]:
     grand = len(values) - 1
     n = grand.bit_length()
     out = []
@@ -337,7 +346,7 @@ def _symmetric_pairs(values: Sequence, eps: Scalar) -> list[tuple[int, int]]:
         for j in range(i + 1, n):
             bit_i, bit_j = 1 << i, 1 << j
             if all(
-                abs(values[sub | bit_i] - values[sub | bit_j]) <= eps
+                abs(values[sub | bit_i] - values[sub | bit_j]) <= eps[sub | bit_i | bit_j]
                 for sub in submasks(grand ^ bit_i ^ bit_j)
             ):
                 out.append((i, j))
@@ -350,12 +359,12 @@ def _symmetry(nums: _Numbers) -> CheckResult:
     pairs = _symmetric_pairs(nums.values, eps)
     if not pairs:
         return CheckResult("F2", Verdict.PASS_VACUOUS)
-    for mask in range(len(nums.values)):
+    for mask, e in enumerate(eps):
         for i, j in pairs:
             if mask & (1 << i) and mask & (1 << j):
                 r_i = rows[i][mask]
                 r_j = rows[j][mask]
-                if not abs(r_i - r_j) <= eps:
+                if not abs(r_i - r_j) <= e:
                     return CheckResult(
                         "F2",
                         Verdict.FAIL,
@@ -372,10 +381,10 @@ def _symmetry(nums: _Numbers) -> CheckResult:
 
 def desirable_pairs(game: Game, tol: Tolerance | None = None) -> list[tuple[int, int]]:
     """Ordered pairs (i, j) where i contributes at least as much as j everywhere."""
-    return _desirable_pairs(game.values, _epsilon(tol, game))
+    return _desirable_pairs(game.values, _slacks(tol, game.values, game))
 
 
-def _desirable_pairs(values: Sequence, eps: Scalar) -> list[tuple[int, int]]:
+def _desirable_pairs(values: Sequence, eps: Sequence) -> list[tuple[int, int]]:
     grand = len(values) - 1
     n = grand.bit_length()
     out = []
@@ -385,7 +394,7 @@ def _desirable_pairs(values: Sequence, eps: Scalar) -> list[tuple[int, int]]:
                 continue
             bit_i, bit_j = 1 << i, 1 << j
             if all(
-                values[sub | bit_j] - values[sub | bit_i] <= eps
+                values[sub | bit_j] - values[sub | bit_i] <= eps[sub | bit_i | bit_j]
                 for sub in submasks(grand ^ bit_i ^ bit_j)
             ):
                 out.append((i, j))
@@ -398,19 +407,20 @@ def _strict_desirability(nums: _Numbers) -> CheckResult:
 
     Applies to (i, j, C) when i's contribution weakly dominates j's
     everywhere and some non-empty B inside C (avoiding both) has
-    v(B+i) > v(B+j). Vacuous when no such triple exists.
+    v(B+i) > v(B+j). Vacuous when no such triple exists. B's strictness
+    compares on C's slack, as the conclusion does.
     """
     values, rows, eps = nums.values, nums.rows, nums.eps
     pairs = _desirable_pairs(values, eps)
     applied = False
-    for mask in range(len(values)):
+    for mask, e in enumerate(eps):
         for i, j in pairs:
             bit_i, bit_j = 1 << i, 1 << j
             if not (mask & bit_i and mask & bit_j):
                 continue
             strict_b = None
             for sub in submasks(mask ^ bit_i ^ bit_j):
-                if sub and values[sub | bit_i] - values[sub | bit_j] > eps:
+                if sub and values[sub | bit_i] - values[sub | bit_j] > e:
                     strict_b = sub
                     break
             if strict_b is None:
@@ -418,7 +428,7 @@ def _strict_desirability(nums: _Numbers) -> CheckResult:
             applied = True
             r_i = rows[i][mask]
             r_j = rows[j][mask]
-            if not r_i - r_j > eps:
+            if not r_i - r_j > e:
                 return CheckResult(
                     "F3",
                     Verdict.FAIL,
@@ -441,7 +451,7 @@ def _balanced_reciprocity(nums: _Numbers) -> CheckResult:
     if len(rows) < 2:
         return CheckResult("F5", Verdict.PASS_VACUOUS)
     bits = [1 << i for i in range(len(rows))]
-    for mask in range(len(nums.values)):
+    for mask, e in enumerate(eps):
         mem = members(mask)
         for a, i in enumerate(mem):
             row_i = rows[i]
@@ -451,7 +461,7 @@ def _balanced_reciprocity(nums: _Numbers) -> CheckResult:
                 row_j = rows[j]
                 gain_i = r_i - row_i[mask ^ bits[j]]
                 gain_j = row_j[mask] - row_j[without_i]
-                if not abs(gain_i - gain_j) <= eps:
+                if not abs(gain_i - gain_j) <= e:
                     return CheckResult(
                         "F5",
                         Verdict.FAIL,
@@ -486,7 +496,8 @@ def check_strict_monotonicity_pair(
     contribution inside it never falls, and every sub-coalition without
     the player keeps its exact value. Conclusion: the player's reward in
     that coalition strictly rises. Reports premise-not-met instead of
-    passing vacuously so campaigns can count real applications.
+    passing vacuously so campaigns can count real applications. The
+    rounding rule sizes each slack by the larger of the two games' values.
     """
     if game_before.n_players != game_after.n_players:
         raise DimensionMismatchError("both games must have the same player count")
@@ -495,24 +506,24 @@ def check_strict_monotonicity_pair(
         raise OutOfRangeError(f"coalition mask {coalition} out of range")
     if not 0 <= player < n or not coalition & (1 << player):
         raise OutOfRangeError(f"player {player} is not a member of the coalition")
-    eps = _epsilon(tol, game_before, game_after)
     v, v2 = game_before.values, game_after.values
+    eps = _slacks(tol, map(max, v, v2), game_before, game_after)
     bit = 1 << player
 
-    if not v2[coalition] - v[coalition] > eps:
+    if not v2[coalition] - v[coalition] > eps[coalition]:
         return CheckResult(
             "F4",
             Verdict.PREMISE_NOT_MET,
             {"reason": "coalition value did not strictly increase", "coalition": coalition},
         )
     for sub in submasks(coalition ^ bit):
-        if not v[sub | bit] - v2[sub | bit] <= eps:
+        if not v[sub | bit] - v2[sub | bit] <= eps[sub | bit]:
             return CheckResult(
                 "F4",
                 Verdict.PREMISE_NOT_MET,
                 {"reason": "player's contribution dropped somewhere", "coalition": sub | bit},
             )
-        if not abs(v2[sub] - v[sub]) <= eps:
+        if not abs(v2[sub] - v[sub]) <= eps[sub]:
             return CheckResult(
                 "F4",
                 Verdict.PREMISE_NOT_MET,
@@ -523,7 +534,7 @@ def check_strict_monotonicity_pair(
     after = _balanced_reward(game_after, player, coalition)
     return CheckResult(
         "F4",
-        Verdict.PASS if after - before > eps else Verdict.FAIL,
+        Verdict.PASS if after - before > eps[coalition] else Verdict.FAIL,
         {
             "player": player,
             "coalition": coalition,
@@ -560,7 +571,7 @@ def check_axiom(
     """Run one single-matrix axiom check by its code (R1..R5, F1..F3, F5).
 
     The default tolerance is exact when game and table are both rational,
-    absolute 1e-9 otherwise.
+    the rounding rule (see ``Tolerance``) otherwise.
     """
     code = axiom.upper()
     if code not in _SINGLE_MATRIX_CHECKS:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .axioms import DEFAULT_EPSILON
+from .axioms import _slacks
 from .errors import (
     EmptyCoalitionError,
     OutOfRangeError,
@@ -214,9 +214,9 @@ class ComparisonReport:
     """Divergence of the scaled Shapley table from the balanced solver.
 
     ``unbalanced`` counts the (coalition, pair) triples whose reciprocity
-    residual exceeds the threshold: 0 when the table is exact (rho == 1
-    on an exact game), ``DEFAULT_EPSILON`` otherwise. ``residuals`` lists
-    every triple's residual, built from ``scaled`` on first read.
+    residual exceeds the checkers' default slack: 0 when the table is exact
+    (rho == 1 on an exact game), ``8·n·2⁻⁵²·v(C)`` for coalition C
+    otherwise. ``residuals`` lists every triple's residual, built on read.
     """
 
     rho: Scalar
@@ -255,6 +255,7 @@ def compare_mechanisms(game: Game, rho: Scalar | int) -> ComparisonReport:
     unbalanced = 0
     if nums is None:
         max_residual: Scalar = 0.0
+        eps = _slacks(None, game.values, game, scaled)
         for mask in range(3, 1 << n):
             mem = members(mask)
             for a, i in enumerate(mem):
@@ -264,7 +265,7 @@ def compare_mechanisms(game: Game, rho: Scalar | int) -> ComparisonReport:
                     gain_i = row_i[mask] - row_i[mask ^ (1 << j)]
                     gain_j = row_j[mask] - row_j[mask ^ bit_i]
                     residual = abs(gain_i - gain_j)
-                    if residual > DEFAULT_EPSILON:
+                    if residual > eps[mask]:
                         unbalanced += 1
                     if witness is None or residual > max_residual:
                         max_residual = residual

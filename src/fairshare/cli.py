@@ -25,6 +25,7 @@ from .formats import (
     FLOAT,
     GameDocument,
     MatrixDocument,
+    _fraction,
     align_matrix_labels,
     coalition_key,
     default_labels,
@@ -143,7 +144,8 @@ def solve_cmd(game_path: str, out_path: str | None, form: str):
 @click.option(
     "--matrix", "matrix_path", type=click.Path(dir_okay=False), default=None
 )
-@click.option("--tolerance", "tolerance_text", default=None)
+@click.option("--tolerance", "tolerance_text", help="'exact' or an absolute epsilon "
+              "[default: exact for rational inputs, else 8*n*2^-52*v(C) for coalition C]")
 @_guarded
 def check_cmd(game_path: str, matrix_path: str | None, tolerance_text: str | None):
     """Check a reward table against every axiom (solves the game if no table given)."""
@@ -289,7 +291,7 @@ def gen_cmd(
 
 def _parse_fraction(token: str, where: str) -> Fraction:
     try:
-        return Fraction(token.strip())
+        return _fraction(token.strip())
     except (ValueError, ZeroDivisionError):
         raise FileFormatError(f"bad number {token!r} in {where}") from None
 

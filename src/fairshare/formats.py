@@ -37,6 +37,7 @@ import io
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, repeat
@@ -158,12 +159,17 @@ def _fraction(token: str) -> Fraction:
 
     The fast path takes only an optional sign, decimal digits and at most
     one "/" followed by decimal digits, all of which ``Fraction`` accepts
-    with the same value; any other token goes to ``Fraction`` itself.
+    with the same value; any other goes to ``Fraction`` itself, unless its
+    exponent makes more digits than Python writes as text (ValueError).
     """
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if digits.isdecimal() and (not slash or den.isdecimal()):
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    mantissa, e, exponent = token.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if e and limit and len(mantissa) + abs(int(exponent)) > limit:
+        raise ValueError
     return Fraction(token)
 
 
@@ -187,11 +193,11 @@ def _parse_number(raw, mode: str) -> Scalar:
     """
     if type(raw) is _JsonDecimal:
         if mode != FLOAT:
-            return Fraction(raw)
+            return _fraction(raw)
         x = float(raw)
-        if not x:
+        if not x and not raw.lower().partition("e")[0].strip("+-.0"):
             # float() keeps the sign of "-0.0"; its exact value has none
-            return float(Fraction(raw))
+            return 0.0
         if not math.isfinite(x):
             raise ValueError
         return x
@@ -229,6 +235,8 @@ def _json_loads(text: str):
         )
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise FileFormatError(f"bad number: {str(exc).partition(';')[0]}") from None
 
 
 def _read_header(text: str, what: str, body: str, *optional: str):
@@ -496,6 +504,9 @@ def parse_matrix(text: str) -> MatrixDocument:
             efficient = {}
             for key, lab in doc["efficient_player"].items():
                 mask = mask_of[key]
+                if mask in efficient:
+                    key = coalition_key(labels, mask)
+                    raise FileFormatError(f"duplicate efficient player for coalition {key!r}")
                 bit = mask_of.bit_of.get(lab) if type(lab) is str else None
                 if bit is None:
                     raise FileFormatError(f"unknown player label {lab!r}")

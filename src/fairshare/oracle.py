@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import _run_checks, default_tolerance
+from .axioms import _run_checks, _slacks, default_tolerance
 from .errors import NoFeasibleCandidateError, SizeLimitExceededError
 from .games import Game, Scalar, coalitions_by_size, members
 from .solver import RewardMatrix
@@ -30,23 +30,19 @@ GLOBAL_MAX_PLAYERS = 4
 _TABLE_AXIOMS = ("R1", "R2", "R3", "R4", "R5", "F5")
 
 
-def _slack_ulps(game: Game) -> float:
-    """Float slack per unit of coalition value (see ``brute_force_solve``);
-    exact games get none."""
-    return 0 if game.exact else 8 * game.n_players * 2.0**-52
-
-
 def agree_up_to_rounding(game: Game, a: RewardMatrix, b: RewardMatrix) -> bool:
     """Whether two tables for ``game`` differ in no entry of coalition C's
-    column by more than the oracles' float slack, ``8·n·2⁻⁵²·v(C)``.
-
-    Exact games allow no slack, so their tables must be equal.
+    column by more than the game's default slack for C: ``8·n·2⁻⁵²·v(C)``
+    for a float game, none for an exact one, whose tables must be equal.
     """
-    ulps = _slack_ulps(game)
+    return _agree(_slacks(None, game.values, game), a, b)
+
+
+def _agree(eps, a: RewardMatrix, b: RewardMatrix) -> bool:
     return all(
-        abs(x - y) <= ulps * v_c
+        abs(x - y) <= e
         for row_a, row_b in zip(a.rewards, b.rewards)
-        for x, y, v_c in zip(row_a, row_b, game.values)
+        for x, y, e in zip(row_a, row_b, eps)
     )
 
 
@@ -67,13 +63,12 @@ def brute_force_solve(game: Game) -> OracleResult:
     one rewarded the full value; the other members' rewards follow from
     balanced reciprocity against the already-fixed smaller coalitions.
     Rows with a negative entry or an entry above the coalition value are
-    discarded. Float mode lets an entry stray past either bound by
-    ``8·n·2⁻⁵²·v(C)``, the rounding that differencing sums of coalition
-    values can leave; by monotonicity every term is at most v(C), so the
-    slack scales with the coalition, not the game. Exact mode allows no
-    slack. The returned matrix uses
-    the lowest-index survivor; the ``unique`` flag records whether all
-    survivors agreed entrywise, in float mode within that same slack.
+    discarded. Float mode lets an entry stray past either bound by the
+    checkers' default slack for C, ``8·n·2⁻⁵²·v(C)``, the rounding that
+    differencing sums of coalition values can leave; exact mode allows no
+    slack. The returned matrix uses the lowest-index survivor; the
+    ``unique`` flag records whether all survivors agreed entrywise, in
+    float mode within that same slack.
 
     An exact game runs on its ints over its common denominator, as the
     solver does; that scaling in ``games.py`` is all the two share.
@@ -90,11 +85,11 @@ def brute_force_solve(game: Game) -> OracleResult:
     rows = [[v[1 << i]] * (1 << n) for i in range(n)]
     feasible: dict[int, tuple[int, ...]] = {}
     unique = True
-    ulps = _slack_ulps(game)
+    eps = _slacks(None, game.values, game)
 
     for mask in coalitions_by_size(n, min_size=2):
         v_c = v[mask]
-        slack = ulps * v_c
+        slack = eps[mask]
         hi = v_c + slack
         mem = members(mask)
         surviving_rows: dict[int, dict[int, Scalar]] = {}
@@ -142,11 +137,11 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
     reaches the assignments in lexicographic order. A coalition's column
     depends only on the choices for the coalitions before it, so a partial
     assignment is dropped only at an entry outside the coalition's range,
-    where every completion of it would be rejected too. Duplicates are
-    collapsed: in float mode, tables that agree within
-    ``brute_force_solve``'s slack of ``8·n·2⁻⁵²·v(C)`` count as one, and
-    the range filter allows the same slack. Uniqueness of the allocation
-    means the result should be a single matrix.
+    where every completion of it would be rejected too. One tolerance, the
+    game's default, serves the range filter, the axiom filter and the
+    dedupe: in float mode coalition C allows ``8·n·2⁻⁵²·v(C)``, so tables
+    that agree within it count as one. Uniqueness of the allocation means
+    the result should be a single matrix.
     """
     if game.n_players > GLOBAL_MAX_PLAYERS:
         raise SizeLimitExceededError(
@@ -155,7 +150,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
     v = game._numerators
     n = game.n_players
     tol = default_tolerance(game)
-    ulps = _slack_ulps(game)
+    eps = _slacks(tol, game.values, game)
     # per coalition: its mask, value, the range filter's [-slack, v(C) +
     # slack] and, per candidate k, the (i, C∖i, C∖k) index triples that
     # fill the other members' entries
@@ -166,7 +161,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
             (k, [(i, mask ^ (1 << i), mask ^ (1 << k)) for i in mem if i != k])
             for k in mem
         ]
-        levels.append((mask, v[mask], -ulps * v[mask], v[mask] + ulps * v[mask], candidates))
+        levels.append((mask, v[mask], -eps[mask], v[mask] + eps[mask], candidates))
 
     survivors: list[RewardMatrix] = []
     seen: set[tuple[tuple, ...]] = set()
@@ -184,7 +179,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
             seen.add(stored)
             matrix = RewardMatrix._stored(n, stored, game._denominator)
             passes = all(r.passed for r in _run_checks(_TABLE_AXIOMS, game, matrix, tol))
-            if passes and not any(agree_up_to_rounding(game, matrix, s) for s in survivors):
+            if passes and not any(_agree(eps, matrix, s) for s in survivors):
                 survivors.append(matrix)
             return
         mask, v_c, lo, hi, candidates = levels[depth]

@@ -71,7 +71,7 @@ from fairshare import (
     solve,
     submasks,
 )
-from fairshare.axioms import DEFAULT_EPSILON, _run_checks, default_tolerance
+from fairshare.axioms import _run_checks, default_tolerance
 from fairshare.formats import (
     FLOAT,
     RATIONAL,
@@ -84,8 +84,6 @@ from fairshare.oracle import (
     GLOBAL_MAX_PLAYERS,
     LEVEL_WISE_MAX_PLAYERS,
     _TABLE_AXIOMS,
-    _slack_ulps,
-    agree_up_to_rounding,
 )
 
 
@@ -300,38 +298,49 @@ def strict_desirability_triples(game: Game):
                     yield i, j, mask, strict_b
 
 
+def rounding_ulps(n: int) -> float:
+    """The default float rule's slack per unit of coalition value, 8·n·2⁻⁵²."""
+    return 8 * n * 2.0**-52
+
+
 class Compare:
-    """Exact comparison when ``epsilon`` is None; otherwise values within
-    epsilon are equal and "strictly greater" means greater by more than it."""
+    """Exact comparison when ``slack`` is None; otherwise two numbers
+    compared on coalition ``mask`` are equal within ``slack(mask)``, and
+    "strictly greater" means greater by more than it."""
 
-    def __init__(self, epsilon: Scalar | None):
-        self.epsilon = epsilon
+    def __init__(self, slack: Callable[[int], Scalar] | None):
+        self.slack = slack
 
-    def eq(self, a: Scalar, b: Scalar) -> bool:
-        if self.epsilon is None:
+    def eq(self, a: Scalar, b: Scalar, mask: int) -> bool:
+        if self.slack is None:
             return a == b
-        return abs(a - b) <= self.epsilon
+        return abs(a - b) <= self.slack(mask)
 
-    def le(self, a: Scalar, b: Scalar) -> bool:
-        if self.epsilon is None:
+    def le(self, a: Scalar, b: Scalar, mask: int) -> bool:
+        if self.slack is None:
             return a <= b
-        return a - b <= self.epsilon
+        return a - b <= self.slack(mask)
 
-    def ge(self, a: Scalar, b: Scalar) -> bool:
-        return self.le(b, a)
+    def ge(self, a: Scalar, b: Scalar, mask: int) -> bool:
+        return self.le(b, a, mask)
 
-    def gt(self, a: Scalar, b: Scalar) -> bool:
-        if self.epsilon is None:
+    def gt(self, a: Scalar, b: Scalar, mask: int) -> bool:
+        if self.slack is None:
             return a > b
-        return a - b > self.epsilon
+        return a - b > self.slack(mask)
 
 
-def compare(tol: Tolerance | None, *tables) -> Compare:
-    """``tol``'s comparison; by default exact when every table is rational,
-    absolute 1e-9 otherwise."""
-    if tol is not None:
-        return Compare(tol.epsilon)
-    return Compare(None if all(t.exact for t in tables) else DEFAULT_EPSILON)
+def compare(tol: Tolerance | None, values, *tables) -> Compare:
+    """``tol``'s comparison. By default it is exact when every table is
+    rational, and otherwise coalition C allows ``8·n·2⁻⁵²·v(C)``, with v(C)
+    read from ``values``."""
+    if tol is not None and tol != default_tolerance(*tables):
+        eps = tol.epsilon
+        return Compare(None if eps is None else lambda mask: eps)
+    if all(t.exact for t in tables):
+        return Compare(None)
+    ulps = rounding_ulps(tables[0].n_players)
+    return Compare(lambda mask: ulps * float(values[mask]))
 
 
 def _require_same_shape(game: Game, matrix: RewardMatrix) -> None:
@@ -346,11 +355,11 @@ def check_nonnegativity(
 ) -> CheckResult:
     """R1: every member's reward is nonnegative."""
     _require_same_shape(game, matrix)
-    tol = compare(tol, game, matrix)
+    tol = compare(tol, game.values, game, matrix)
     for mask in range(matrix.num_coalitions):
         for i in members(mask):
             r = matrix.rewards[i][mask]
-            if not tol.ge(r, 0):
+            if not tol.ge(r, 0, mask):
                 return CheckResult(
                     "R1",
                     Verdict.FAIL,
@@ -364,12 +373,12 @@ def check_feasibility(
 ) -> CheckResult:
     """R2: no member's reward exceeds the coalition's value."""
     _require_same_shape(game, matrix)
-    tol = compare(tol, game, matrix)
+    tol = compare(tol, game.values, game, matrix)
     for mask in range(matrix.num_coalitions):
         v_c = game.values[mask]
         for i in members(mask):
             r = matrix.rewards[i][mask]
-            if not tol.le(r, v_c):
+            if not tol.le(r, v_c, mask):
                 return CheckResult(
                     "R2",
                     Verdict.FAIL,
@@ -383,11 +392,11 @@ def check_weak_efficiency(
 ) -> CheckResult:
     """R3: in every non-empty coalition some member gets the full value."""
     _require_same_shape(game, matrix)
-    tol = compare(tol, game, matrix)
+    tol = compare(tol, game.values, game, matrix)
     for mask in range(1, matrix.num_coalitions):
         v_c = game.values[mask]
         mem = members(mask)
-        if not any(tol.eq(matrix.rewards[i][mask], v_c) for i in mem):
+        if not any(tol.eq(matrix.rewards[i][mask], v_c, mask) for i in mem):
             return CheckResult(
                 "R3",
                 Verdict.FAIL,
@@ -405,12 +414,12 @@ def check_individual_rationality(
 ) -> CheckResult:
     """R4: nobody, member or not, is ever rewarded below their solo value."""
     _require_same_shape(game, matrix)
-    tol = compare(tol, game, matrix)
+    tol = compare(tol, game.values, game, matrix)
     for mask in range(matrix.num_coalitions):
         for i in range(game.n_players):
             r = matrix.rewards[i][mask]
             v_i = game.values[1 << i]
-            if not tol.ge(r, v_i):
+            if not tol.ge(r, v_i, mask | (1 << i)):
                 return CheckResult(
                     "R4",
                     Verdict.FAIL,
@@ -424,14 +433,14 @@ def check_nonparticipation(
 ) -> CheckResult:
     """R5: non-members keep exactly their solo value."""
     _require_same_shape(game, matrix)
-    tol = compare(tol, game, matrix)
+    tol = compare(tol, game.values, game, matrix)
     for mask in range(matrix.num_coalitions):
         for i in range(game.n_players):
             if mask & (1 << i):
                 continue
             r = matrix.rewards[i][mask]
             v_i = game.values[1 << i]
-            if not tol.eq(r, v_i):
+            if not tol.eq(r, v_i, mask | (1 << i)):
                 return CheckResult(
                     "R5",
                     Verdict.FAIL,
@@ -446,7 +455,7 @@ def check_balanced_reciprocity(
     """F5: within any coalition, i's gain from j joining equals j's gain
     from i joining."""
     _require_same_shape(game, matrix)
-    tol = compare(tol, game, matrix)
+    tol = compare(tol, game.values, game, matrix)
     if game.n_players < 2:
         return CheckResult("F5", Verdict.PASS_VACUOUS)
     rows = matrix.rewards
@@ -457,7 +466,7 @@ def check_balanced_reciprocity(
                 i, j = mem[a], mem[b]
                 gain_i = rows[i][mask] - rows[i][mask ^ (1 << j)]
                 gain_j = rows[j][mask] - rows[j][mask ^ (1 << i)]
-                if not tol.eq(gain_i, gain_j):
+                if not tol.eq(gain_i, gain_j, mask):
                     return CheckResult(
                         "F5",
                         Verdict.FAIL,
@@ -484,7 +493,7 @@ TABLE_CHECKS = {
 
 def useless_players(game: Game, tol: Tolerance | None = None) -> list[int]:
     """Players whose joining never changes any coalition's value."""
-    return _useless_players(game, compare(tol, game))
+    return _useless_players(game, compare(tol, game.values, game))
 
 
 def _useless_players(game: Game, tol: Compare) -> list[int]:
@@ -492,7 +501,7 @@ def _useless_players(game: Game, tol: Compare) -> list[int]:
     for u in range(game.n_players):
         rest = game.grand_coalition ^ (1 << u)
         if all(
-            tol.eq(game.values[sub], game.values[sub | (1 << u)])
+            tol.eq(game.values[sub], game.values[sub | (1 << u)], sub | (1 << u))
             for sub in submasks(rest)
         ):
             out.append(u)
@@ -501,7 +510,7 @@ def _useless_players(game: Game, tol: Compare) -> list[int]:
 
 def symmetric_pairs(game: Game, tol: Tolerance | None = None) -> list[tuple[int, int]]:
     """Unordered pairs that contribute identically to every outside coalition."""
-    return _symmetric_pairs(game, compare(tol, game))
+    return _symmetric_pairs(game, compare(tol, game.values, game))
 
 
 def _symmetric_pairs(game: Game, tol: Compare) -> list[tuple[int, int]]:
@@ -510,7 +519,11 @@ def _symmetric_pairs(game: Game, tol: Compare) -> list[tuple[int, int]]:
         for j in range(i + 1, game.n_players):
             rest = game.grand_coalition ^ (1 << i) ^ (1 << j)
             if all(
-                tol.eq(game.values[sub | (1 << i)], game.values[sub | (1 << j)])
+                tol.eq(
+                    game.values[sub | (1 << i)],
+                    game.values[sub | (1 << j)],
+                    sub | (1 << i) | (1 << j),
+                )
                 for sub in submasks(rest)
             ):
                 out.append((i, j))
@@ -519,7 +532,7 @@ def _symmetric_pairs(game: Game, tol: Compare) -> list[tuple[int, int]]:
 
 def desirable_pairs(game: Game, tol: Tolerance | None = None) -> list[tuple[int, int]]:
     """Ordered pairs (i, j) where i contributes at least as much as j everywhere."""
-    return _desirable_pairs(game, compare(tol, game))
+    return _desirable_pairs(game, compare(tol, game.values, game))
 
 
 def _desirable_pairs(game: Game, tol: Compare) -> list[tuple[int, int]]:
@@ -530,7 +543,11 @@ def _desirable_pairs(game: Game, tol: Compare) -> list[tuple[int, int]]:
                 continue
             rest = game.grand_coalition ^ (1 << i) ^ (1 << j)
             if all(
-                tol.ge(game.values[sub | (1 << i)], game.values[sub | (1 << j)])
+                tol.ge(
+                    game.values[sub | (1 << i)],
+                    game.values[sub | (1 << j)],
+                    sub | (1 << i) | (1 << j),
+                )
                 for sub in submasks(rest)
             ):
                 out.append((i, j))
@@ -549,7 +566,7 @@ def check_uselessness(
 ) -> CheckResult:
     """F1: a useless player earns nothing and changes nobody's reward."""
     _require_same_shape(game, matrix)
-    tol = compare(tol, game, matrix)
+    tol = compare(tol, game.values, game, matrix)
     useless = _useless_players(game, tol)
     if not useless:
         return CheckResult("F1", Verdict.PASS_VACUOUS)
@@ -557,7 +574,7 @@ def check_uselessness(
         bit = 1 << u
         for mask in range(matrix.num_coalitions):
             r = matrix.rewards[u][mask]
-            if not tol.eq(r, 0):
+            if not tol.eq(r, 0, mask | bit):
                 return CheckResult(
                     "F1",
                     Verdict.FAIL,
@@ -569,7 +586,7 @@ def check_uselessness(
             for i in members(mask):
                 without = matrix.rewards[i][mask]
                 with_u = matrix.rewards[i][mask | bit]
-                if not tol.eq(without, with_u):
+                if not tol.eq(without, with_u, mask | bit):
                     return CheckResult(
                         "F1",
                         Verdict.FAIL,
@@ -589,7 +606,7 @@ def check_symmetry(
 ) -> CheckResult:
     """F2: interchangeable players get equal rewards wherever both belong."""
     _require_same_shape(game, matrix)
-    tol = compare(tol, game, matrix)
+    tol = compare(tol, game.values, game, matrix)
     pairs = _symmetric_pairs(game, tol)
     if not pairs:
         return CheckResult("F2", Verdict.PASS_VACUOUS)
@@ -598,7 +615,7 @@ def check_symmetry(
             if mask & (1 << i) and mask & (1 << j):
                 r_i = matrix.rewards[i][mask]
                 r_j = matrix.rewards[j][mask]
-                if not tol.eq(r_i, r_j):
+                if not tol.eq(r_i, r_j, mask):
                     return CheckResult(
                         "F2",
                         Verdict.FAIL,
@@ -619,7 +636,7 @@ def check_strict_desirability(
     """F3: a weakly dominant player, strictly so inside the coalition, earns
     strictly more there."""
     _require_same_shape(game, matrix)
-    tol = compare(tol, game, matrix)
+    tol = compare(tol, game.values, game, matrix)
     pairs = _desirable_pairs(game, tol)
     applied = False
     for mask in range(matrix.num_coalitions):
@@ -629,7 +646,7 @@ def check_strict_desirability(
             rest = mask ^ (1 << i) ^ (1 << j)
             strict_b = None
             for sub in submasks(rest):
-                if sub and tol.gt(game.values[sub | (1 << i)], game.values[sub | (1 << j)]):
+                if sub and tol.gt(game.values[sub | (1 << i)], game.values[sub | (1 << j)], mask):
                     strict_b = sub
                     break
             if strict_b is None:
@@ -637,7 +654,7 @@ def check_strict_desirability(
             applied = True
             r_i = matrix.rewards[i][mask]
             r_j = matrix.rewards[j][mask]
-            if not tol.gt(r_i, r_j):
+            if not tol.gt(r_i, r_j, mask):
                 return CheckResult(
                     "F3",
                     Verdict.FAIL,
@@ -675,25 +692,25 @@ def strict_monotonicity_pair(
         raise OutOfRangeError(f"coalition mask {coalition} out of range")
     if not 0 <= player < n or not coalition & (1 << player):
         raise OutOfRangeError(f"player {player} is not a member of the coalition")
-    tol = compare(tol, game_before, game_after)
     v, v2 = game_before.values, game_after.values
+    tol = compare(tol, [max(a, b) for a, b in zip(v, v2)], game_before, game_after)
     bit = 1 << player
     rest = coalition ^ bit
 
-    if not tol.gt(v2[coalition], v[coalition]):
+    if not tol.gt(v2[coalition], v[coalition], coalition):
         return CheckResult(
             "F4",
             Verdict.PREMISE_NOT_MET,
             {"reason": "coalition value did not strictly increase", "coalition": coalition},
         )
     for sub in submasks(rest):
-        if not tol.ge(v2[sub | bit], v[sub | bit]):
+        if not tol.ge(v2[sub | bit], v[sub | bit], sub | bit):
             return CheckResult(
                 "F4",
                 Verdict.PREMISE_NOT_MET,
                 {"reason": "player's contribution dropped somewhere", "coalition": sub | bit},
             )
-        if not tol.eq(v2[sub], v[sub]):
+        if not tol.eq(v2[sub], v[sub], sub):
             return CheckResult(
                 "F4",
                 Verdict.PREMISE_NOT_MET,
@@ -708,7 +725,7 @@ def strict_monotonicity_pair(
         "reward_before": before,
         "reward_after": after,
     }
-    return CheckResult("F4", Verdict.PASS if tol.gt(after, before) else Verdict.FAIL, witness)
+    return CheckResult("F4", Verdict.PASS if tol.gt(after, before, coalition) else Verdict.FAIL, witness)
 
 
 def _render_number(x: Scalar) -> int | str | float:
@@ -802,7 +819,7 @@ def product_enumeration_solve(game: Game) -> list[RewardMatrix]:
     reciprocity, and keeps those passing nonnegativity, feasibility, weak
     efficiency, individual rationality, non-participation, and the full
     reciprocity check. Duplicates are collapsed: in float mode, tables that
-    agree within ``brute_force_solve``'s slack of ``8·n·2⁻⁵²·v(C)`` count as
+    agree within ``8·n·2⁻⁵²·v(C)`` in every entry of coalition C count as
     one, and the fail-fast filter allows the same slack. Uniqueness of the
     allocation means the result should be a single matrix.
     """
@@ -814,9 +831,16 @@ def product_enumeration_solve(game: Game) -> list[RewardMatrix]:
     n = game.n_players
     big = coalitions_by_size(n, min_size=2)
     tol = default_tolerance(game)
-    ulps = _slack_ulps(game)
+    ulps = 0 if game.exact else rounding_ulps(n)
     # the fail-fast filter's range per coalition, [-slack, v(C) + slack]
     bounds = {mask: (-ulps * v[mask], v[mask] + ulps * v[mask]) for mask in big}
+
+    def agree(a: RewardMatrix, b: RewardMatrix) -> bool:
+        return all(
+            abs(x - y) <= ulps * v_c
+            for row_a, row_b in zip(a.rewards, b.rewards)
+            for x, y, v_c in zip(row_a, row_b, v)
+        )
 
     survivors: list[RewardMatrix] = []
     seen: set[RewardMatrix] = set()
@@ -846,7 +870,7 @@ def product_enumeration_solve(game: Game) -> list[RewardMatrix]:
             continue
         seen.add(matrix)
         passes = all(r.passed for r in _run_checks(_TABLE_AXIOMS, game, matrix, tol))
-        if passes and not any(agree_up_to_rounding(game, matrix, s) for s in survivors):
+        if passes and not any(agree(matrix, s) for s in survivors):
             survivors.append(matrix)
     return survivors
 
@@ -921,7 +945,7 @@ class EagerComparison(NamedTuple):
 def eager_compare_mechanisms(game: Game, rho) -> EagerComparison:
     """Every residual of the scaled table as a ``PairResidual``, then the
     summary taken from that tuple; ``unbalanced`` counts the residuals above
-    0 for an exact table and above ``DEFAULT_EPSILON`` otherwise."""
+    0 for an exact table and above ``8·n·2⁻⁵²·v(C)`` otherwise."""
     scaled = potential_scaled_rho_shapley(game, rho)
     balanced = solve(game).matrix
     if not scaled.exact and balanced.exact:
@@ -934,7 +958,7 @@ def eager_compare_mechanisms(game: Game, rho) -> EagerComparison:
         if witness is None or r.residual > max_residual:
             max_residual = r.residual
             witness = (r.coalition, r.player_i, r.player_j)
-    threshold = 0 if scaled.exact else DEFAULT_EPSILON
+    ulps = 0 if scaled.exact else rounding_ulps(game.n_players)
     diffs = tuple(
         tuple(s - b for s, b in zip(srow, brow))
         for srow, brow in zip(scaled.rewards, balanced.rewards)
@@ -944,7 +968,9 @@ def eager_compare_mechanisms(game: Game, rho) -> EagerComparison:
         residuals=residuals,
         max_residual=max_residual,
         max_residual_witness=witness,
-        unbalanced=sum(1 for r in residuals if r.residual > threshold),
+        unbalanced=sum(
+            1 for r in residuals if r.residual > ulps * float(game.values[r.coalition])
+        ),
         max_abs_diff=max(abs(d) for row in diffs for d in row),
         entry_diffs=diffs,
     )
@@ -1016,7 +1042,7 @@ def fraction_brute_force_solve(game: Game) -> OracleResult:
     rows = [[v[1 << i]] * (1 << n) for i in range(n)]
     feasible: dict[int, tuple[int, ...]] = {}
     unique = True
-    ulps = _slack_ulps(game)
+    ulps = 0 if game.exact else rounding_ulps(n)
 
     for mask in coalitions_by_size(n, min_size=2):
         v_c = v[mask]

@@ -14,6 +14,7 @@ from fairshare import (
     Tolerance,
     Verdict,
     additive_game,
+    brute_force_solve,
     check_all,
     check_axiom,
     check_strict_monotonicity_pair,
@@ -30,6 +31,7 @@ from fairshare import (
 )
 from fairshare.axioms import _numbers
 from fairshare.games import _MAX_DENOMINATOR_BITS
+from fairshare.oracle import agree_up_to_rounding
 from reference import (
     PREMISE_CHECKS,
     PREMISE_FINDERS,
@@ -389,6 +391,35 @@ class TestFloatModeAgreement:
             assert e.verdict == f.verdict
 
 
+class TestFloatScales:
+    """Float games at value scales 1e-6 to 1e12 pass their own checks, and a
+    member entry moved by a millionth of its coalition's value fails them
+    at every scale: the default slack is relative to each coalition."""
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_solver_tables_pass_and_moved_entries_fail(self, n):
+        rng = random.Random(n)
+        for seed in range(3):
+            for k in range(-6, 13, 2):
+                g = random_monotone_game(n, seed, 10.0**k / 3)
+                matrix = solve(g).matrix
+                # no F3 forced equality arises on these games
+                assert check_all(g, matrix).all_pass, (n, seed, k)
+                oracle = brute_force_solve(g)
+                assert oracle.unique and agree_up_to_rounding(g, oracle.matrix, matrix)
+                grand = g.grand_coalition
+                raised = raise_coalition_value(g, grand, 1e-6 * g.values[grand])
+                result = check_strict_monotonicity_pair(g, raised, n - 1, grand)
+                assert result.verdict is Verdict.PASS, (n, seed, k)
+                for _ in range(5):
+                    mask = rng.randrange(1, g.num_coalitions)
+                    i = rng.choice(members(mask))
+                    for sign in (1, -1):
+                        moved = matrix.rewards[i][mask] + sign * 1e-6 * g.values[mask]
+                        bad = matrix.replace_entry(i, mask, moved)
+                        assert not check_all(g, bad).all_pass, (n, seed, k, i, mask, sign)
+
+
 # Witness keys that name players or coalitions rather than carry a value.
 _INDEX_KEYS = {
     "coalition",
@@ -512,8 +543,14 @@ class TestReferenceCheckers:
             far = matrix.replace_entry(i, mask, base + sign * 2e-9)
             self.assert_agree(g, near)
             self.assert_agree(g, far)
-            assert check_axiom(code, g, near).passed is (code != "F3"), code
-            assert check_axiom(code, g, far).passed is (code == "F3"), code
+            assert check_axiom(code, g, near, tol).passed is (code != "F3"), code
+            assert check_axiom(code, g, far, tol).passed is (code == "F3"), code
+            # by default the entry compares on the rounding slack of C∪{i}
+            slack = 8 * g.n_players * 2.0**-52 * g.values[mask | 1 << i]
+            for factor, within in ((0.5, True), (2, False)):
+                moved = matrix.replace_entry(i, mask, base + sign * factor * slack)
+                self.assert_agree(g, moved)
+                assert check_axiom(code, g, moved).passed is (within != (code == "F3")), code
 
 
 _TOLERANCES = (

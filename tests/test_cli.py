@@ -96,6 +96,19 @@ class TestGen:
             assert result.exit_code == 1, args
             assert "error:" in result.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "random-monotone", "--players", "2", "--max-increment", "1e5000"],
+            ["--family", "additive", "--weights", "1e5000,1"],
+        ],
+        ids=["max-increment", "weights"],
+    )
+    def test_number_past_the_digit_limit_exits_1(self, runner, args):
+        result = runner.invoke(main, ["gen", *args])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: bad number '1e5000' in {args[-2]}\n"
+
     def test_generator_player_limit_exits_3(self, runner):
         for args in (
             ["gen", "--family", "random-monotone", "--players", "21"],
@@ -174,6 +187,14 @@ class TestSolve:
         result = runner.invoke(main, ["solve", str(path)])
         assert result.exit_code == 1
         assert result.stderr == "error: bad number for coalition '1': 1e400\n"
+
+    @pytest.mark.parametrize("raw", ["1e5000", '"1e5000"', "7" * 5000])
+    def test_number_past_the_digit_limit_exits_1(self, runner, tmp_path, raw):
+        path = tmp_path / "vast.json"
+        path.write_text(f'{{"players": 2, "values": {{"1": 1, "2": 1, "1,2": {raw}}}}}')
+        result = runner.invoke(main, ["solve", str(path), "--format", "json"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: bad number"), result.stderr
 
     def test_bad_format_exits_1(self, runner, c3_path):
         result = runner.invoke(main, ["solve", str(c3_path), "--format", "yaml"])
@@ -296,6 +317,17 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(c3_path), "--matrix", str(mpath)])
         assert result.exit_code == 1
         assert result.stderr == "error: bad number for player '2', coalition '1,2,3': 'x'\n"
+
+    def test_efficient_player_spelled_twice_exits_1(self, runner, ex1_path, tmp_path):
+        mpath = tmp_path / "twice.json"
+        result = runner.invoke(main, ["solve", str(ex1_path), "--format", "json", "-o", str(mpath)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(mpath.read_text())
+        doc["efficient_player"]["2,1"] = "2"
+        mpath.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["check", str(ex1_path), "--matrix", str(mpath)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: duplicate efficient player for coalition '1,2'\n"
 
     def test_tolerance_flag(self, runner, tmp_path):
         game_text = json.dumps(

@@ -99,6 +99,33 @@ class TestGameParseErrors:
         with pytest.raises(FileFormatError, match="duplicate coalition '1,2'"):
             parse_game(text)
 
+    @pytest.mark.parametrize(
+        "raw",
+        ["1e5000", '"1e5000"', "0.208e333334", '"1E-5000"', '"12.5e4299"'],
+        ids=["number", "string", "long-mantissa", "negative-exponent", "just-past"],
+    )
+    def test_exponent_past_the_digit_limit_is_a_bad_number(self, raw):
+        # rejected before the integer is built: it could never be written out
+        with pytest.raises(FileFormatError, match="bad number for coalition '1'"):
+            parse_game(f'{{"players": 1, "values": {{"1": {raw}}}}}')
+
+    def test_integer_literal_past_the_digit_limit_is_a_bad_number(self):
+        text = '{"players": 1, "values": {"1": %s}}' % ("7" * 5000)
+        with pytest.raises(FileFormatError, match="bad number: Exceeds the limit"):
+            parse_game(text)
+
+    @pytest.mark.parametrize("raw", ["1e300", '"1e300"', '"1e4000"'])
+    def test_large_exponents_within_the_limit_stay_exact(self, raw):
+        doc = parse_game(f'{{"players": 1, "values": {{"1": {raw}}}}}')
+        value = 10**4000 if "4000" in raw else 10**300
+        assert doc.game.values[1] == value
+        assert parse_game(serialize_game(doc)).game == doc.game
+
+    def test_float_underflow_keeps_its_sign_and_exact_zero_has_none(self):
+        text = '{"players": 2, "number_mode": "float", "values": {"1": %s, "2": 0, "1,2": 1}}'
+        assert math.copysign(1, parse_game(text % "-0.0e5").game.values[1]) == 1
+        assert math.copysign(1, parse_game(text % "-1e-400").game.values[1]) == -1
+
     def test_unknown_label_in_key(self):
         with pytest.raises(FileFormatError, match="unknown player label 'q'"):
             parse_game(game_text({"1": 1, "2": 2, "1,q": 3}))
@@ -272,6 +299,13 @@ class TestMatrixParseErrors:
         with pytest.raises(FileFormatError, match="unknown field"):
             parse_matrix('{"players": 1, "rewards": {}, "extra": 0}')
 
+    def test_json_efficient_player_spelled_twice(self):
+        rewards = '{"": {"1": 1, "2": 1}, "1": {"1": 1, "2": 1}, "2": {"1": 1, "2": 1}}'
+        efficient = '{"1,2": "1", "2,1": "2"}'
+        text = f'{{"players": 2, "rewards": {rewards}, "efficient_player": {efficient}}}'
+        with pytest.raises(FileFormatError, match="duplicate efficient player for coalition '1,2'"):
+            parse_matrix(text)
+
     def test_json_efficient_player_must_be_a_label_string(self):
         text = (
             '{"players": ["1.5"], "rewards": {"": {"1.5": 1}, "1.5": {"1.5": 1}}, '
@@ -364,6 +398,10 @@ CELL_FAULTS = {
     "missing": (
         [c for c in BASE_CELLS if c[1] != "a,b"], "rational", ("json", "table", "long"),
         ("a", "a,b"), "missing reward",
+    ),
+    "exponent-past-the-digit-limit": (
+        _with(BASE_CELLS, "a,b", "1e5000"), "rational", ("json", "table", "long"),
+        ("a", "a,b"), "bad number",
     ),
     "too-large-for-a-float": (
         _with(FLOAT_CELLS, "a,b", HUGE_TOKEN), "float", ("json", "table", "long"),
