@@ -35,10 +35,12 @@ class Tolerance:
     Under absolute(eps), values within eps are equal and "strictly greater"
     means exceeding by more than eps. Exact compares with eps 0. The rounding
     rule, ``default_tolerance``'s for float inputs, allows each coalition C
-    ``8·n·2⁻⁵²·v(C)``; it reads as epsilon 0.0, which ``absolute`` refuses.
+    ``8·n·2⁻⁵²·v(C)``; it has no epsilon, and its private ``_rounding`` flag
+    is set.
     """
 
     epsilon: Scalar | None = None
+    _rounding: bool = False
 
     def __post_init__(self):
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
@@ -54,15 +56,12 @@ class Tolerance:
 
     @property
     def is_exact(self) -> bool:
-        return self.epsilon is None
+        return self.epsilon is None and not self._rounding
 
 
 def default_tolerance(*tables: Game | RewardMatrix) -> Tolerance:
     """Exact when every game and table given is rational, the rounding rule otherwise."""
-    tol = Tolerance.exact()
-    if not all(t.exact for t in tables):
-        object.__setattr__(tol, "epsilon", 0.0)  # the rounding rule, see Tolerance
-    return tol
+    return Tolerance(_rounding=not all(t.exact for t in tables))
 
 
 def _slacks(tol: Tolerance | None, values: Iterable, *tables: Game | RewardMatrix) -> list:
@@ -75,7 +74,7 @@ def _slacks(tol: Tolerance | None, values: Iterable, *tables: Game | RewardMatri
     """
     tol = tol or default_tolerance(*tables)
     n = tables[0].n_players
-    if not tol.is_exact and not tol.epsilon:  # the rounding rule
+    if tol._rounding:
         ulps = 8 * n * 2.0**-52
         return [ulps * float(v) for v in values]
     return [tol.epsilon or 0] * (1 << n)
@@ -236,10 +235,11 @@ def _individual_rationality(nums: _Numbers) -> CheckResult:
     """R4: nobody, member or not, is ever rewarded below their solo value."""
     rows, eps = nums.rows, nums.eps
     solo = [(i, 1 << i, row, nums.values[1 << i]) for i, row in enumerate(rows)]
+    no_slack = not any(eps)  # exact: compare with 0, not a lookup per entry
     for mask in range(len(nums.values)):
         for i, bit, row, v_i in solo:
             r = row[mask]
-            if not v_i - r <= eps[mask | bit]:
+            if not v_i - r <= (0 if no_slack else eps[mask | bit]):
                 return CheckResult(
                     "R4",
                     Verdict.FAIL,
@@ -257,12 +257,13 @@ def _nonparticipation(nums: _Numbers) -> CheckResult:
     """R5: non-members keep exactly their solo value."""
     rows, eps = nums.rows, nums.eps
     solo = [(i, 1 << i, row, nums.values[1 << i]) for i, row in enumerate(rows)]
+    no_slack = not any(eps)  # exact: compare with 0, not a lookup per entry
     for mask in range(len(nums.values)):
         for i, bit, row, v_i in solo:
             if mask & bit:
                 continue
             r = row[mask]
-            if not abs(r - v_i) <= eps[mask | bit]:
+            if not abs(r - v_i) <= (0 if no_slack else eps[mask | bit]):
                 return CheckResult(
                     "R5",
                     Verdict.FAIL,

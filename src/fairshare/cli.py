@@ -25,7 +25,7 @@ from .formats import (
     FLOAT,
     GameDocument,
     MatrixDocument,
-    _fraction,
+    _exact_ratio,
     align_matrix_labels,
     coalition_key,
     default_labels,
@@ -291,8 +291,8 @@ def gen_cmd(
 
 def _parse_fraction(token: str, where: str) -> Fraction:
     try:
-        return _fraction(token.strip())
-    except (ValueError, ZeroDivisionError):
+        return Fraction(*_exact_ratio(token.strip()))
+    except ValueError:
         raise FileFormatError(f"bad number {token!r} in {where}") from None
 
 

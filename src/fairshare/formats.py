@@ -28,6 +28,12 @@ that was written. Only output meant for people (``format_scalar``) rounds
 floats to 12 significant digits. One cell reader reads all three shapes,
 and any fault in a cell has one form, naming the cell by player label and
 coalition key: "bad number for player '1', coalition '1,2': 'x'".
+
+Exact numbers are read as int pairs (p, q) in lowest terms, game files
+and reward tables alike, with the spellings and checks of
+``Fraction(text)``. The cell reader reads each distinct token once, and
+stores an exact table as ints over the lcm of its denominators, the form
+``RewardMatrix`` keeps, without a ``Fraction`` per cell.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from itertools import groupby, repeat
 from operator import itemgetter
 
 from .errors import FileFormatError, NotMonotoneError
-from .games import Game, Scalar, _check_player_count, members
+from .games import _MAX_DENOMINATOR_BITS, Game, Scalar, _check_player_count, members
 from .solver import EfficientPlayerMap, RewardMatrix
 
 RATIONAL = "rational"
@@ -154,66 +160,89 @@ class _KeyMasks(dict):
         return mask
 
 
-def _fraction(token: str) -> Fraction:
-    """``Fraction(token)``, with a fast path for a plain integer or "p/q".
+def _within_digit_limit(token: str) -> bool:
+    """False when the token's exponent makes more digits than Python writes
+    as text; ValueError when the exponent is not an integer."""
+    mantissa, e, exponent = token.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    return not (e and limit and len(mantissa) + abs(int(exponent)) > limit)
 
-    The fast path takes only an optional sign, decimal digits and at most
-    one "/" followed by decimal digits, all of which ``Fraction`` accepts
-    with the same value; any other goes to ``Fraction`` itself, unless its
-    exponent makes more digits than Python writes as text (ValueError).
+
+def _exact_ratio(token: str) -> tuple[int, int]:
+    """The value ``Fraction(token)`` reads, as (p, q) in lowest terms, q > 0;
+    ValueError when Fraction rejects the token or its denominator is 0.
+
+    An optional sign and decimal digits, with at most one "/" followed by
+    decimal digits, are read by ``int`` and ``math.gcd``; Fraction accepts
+    them with the same value. Any other spelling goes to ``Fraction``
+    itself, unless its exponent makes more digits than Python writes as
+    text (ValueError): that exact value could never be written out.
     """
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
-    if digits.isdecimal() and (not slash or den.isdecimal()):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    mantissa, e, exponent = token.lower().partition("e")
-    limit = sys.get_int_max_str_digits()
-    if e and limit and len(mantissa) + abs(int(exponent)) > limit:
+    if digits.isdecimal():
+        if not slash:
+            return int(num), 1
+        if den.isdecimal():
+            p, q = int(num), int(den)
+            if not q:
+                raise ValueError
+            g = math.gcd(p, q)
+            return p // g, q // g
+    if not _within_digit_limit(token):
         raise ValueError
-    return Fraction(token)
+    try:
+        return Fraction(token).as_integer_ratio()
+    except ZeroDivisionError:
+        raise ValueError from None
 
 
 class _JsonDecimal(str):
     """The text of a JSON number with a fraction or an exponent.
 
-    ``_json_loads`` keeps it as text, so that ``_parse_number`` converts it
-    once, by the document's number mode, and can still tell it from a JSON
-    string.
+    ``_json_loads`` keeps it as text, so that ``_read_json_number`` converts
+    it once, by the document's number mode, and can still tell it from a
+    JSON string.
     """
 
     __slots__ = ()
     __repr__ = str.__str__
 
 
-def _parse_number(raw, mode: str) -> Scalar:
-    """One JSON number; raises ValueError when it is not a finite number.
+def _decimal_float(text: str) -> float:
+    """The double nearest a decimal's exact value; ValueError when it is not
+    a finite number."""
+    x = float(text)
+    if not x and not text.lower().partition("e")[0].strip("+-.0"):
+        # float() keeps the sign of "-0.0"; its exact value has none
+        return 0.0
+    if not math.isfinite(x):
+        raise ValueError
+    return x
 
-    Float mode gives the double nearest the exact value, rational mode the
-    exact value itself.
+
+def _read_json_number(raw, mode: str) -> tuple[int, int] | float:
+    """One JSON number as ``mode`` reads it: its exact value as (p, q) in
+    lowest terms in rational mode, the double nearest that value in float
+    mode. ValueError when it is not a finite number (a bool, say).
+
+    A string is read as its stripped text. The digit limit binds only
+    where an exact int is built: in float mode a string whose exponent
+    passes it reads as the JSON number of that text does.
     """
-    if type(raw) is _JsonDecimal:
-        if mode != FLOAT:
-            return _fraction(raw)
-        x = float(raw)
-        if not x and not raw.lower().partition("e")[0].strip("+-.0"):
-            # float() keeps the sign of "-0.0"; its exact value has none
-            return 0.0
-        if not math.isfinite(x):
-            raise ValueError
-        return x
-    if isinstance(raw, str):
-        try:
-            value = _fraction(raw.strip())
-        except ZeroDivisionError:
-            raise ValueError from None
-    elif isinstance(raw, int) and not isinstance(raw, bool):
-        value = Fraction(raw)
+    if type(raw) is int:  # not a bool
+        p, q = raw, 1
+    elif isinstance(raw, str):
+        text = raw.strip()
+        if mode == FLOAT and (type(raw) is _JsonDecimal or not _within_digit_limit(text)):
+            return _decimal_float(text)
+        p, q = _exact_ratio(text)
     else:
         raise ValueError
     if mode != FLOAT:
-        return value
+        return p, q
     try:
-        return float(value)
+        return p / q
     except OverflowError:
         raise ValueError from None
 
@@ -273,9 +302,10 @@ def parse_game(text: str) -> GameDocument:
                 f"duplicate coalition {coalition_key(labels, mask)!r}"
             )
         try:
-            table[mask] = _parse_number(raw, mode)
+            x = _read_json_number(raw, mode)
         except ValueError:
             raise FileFormatError(f"bad number for coalition {key!r}: {raw!r}") from None
+        table[mask] = x if mode == FLOAT else Fraction(*x)
     if table[0] is None:
         table[0] = 0.0 if mode == FLOAT else Fraction(0)
     for mask, x in enumerate(table):
@@ -418,34 +448,46 @@ def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
     return buf.getvalue()
 
 
-def _parse_csv_number(token: str) -> Scalar:
-    """One CSV number; raises ValueError when it is not a finite number."""
+def _read_csv_number(token: str) -> tuple[int, int] | float:
+    """One CSV number: a float when spelled with "." or an exponent, else
+    its exact value as (p, q) in lowest terms. ValueError when it is not a
+    finite number."""
     token = token.strip()
-    try:
-        if "." in token or "e" in token or "E" in token:
-            x = float(token)
-            if not math.isfinite(x):
-                raise ValueError
-            return x
-        return _fraction(token)
-    except ZeroDivisionError:
-        raise ValueError from None
+    if "." in token or "e" in token or "E" in token:
+        x = float(token)
+        if not math.isfinite(x):
+            raise ValueError
+        return x
+    return _exact_ratio(token)
 
 
-def _read_table(mask_of: _KeyMasks, runs, parse) -> RewardMatrix:
+def _read_table(mask_of: _KeyMasks, runs, read) -> RewardMatrix:
     """The one cell reader: the table over ``mask_of.labels`` that ``runs`` fill.
 
     A run is one player's cells, (label, keys, tokens), or one coalition's,
     (labels, key, tokens). Its one label or key is resolved once, and a run
-    with the very keys list of the run before reuses its masks, so a cell
-    costs at most a dict hit, the duplicate check and ``parse`` (ValueError
-    when a token is not a finite number).
+    with the very keys list of the run before reuses its masks.
+
+    ``read`` gives a token's value: its exact (p, q) in lowest terms, or a
+    float (ValueError when the token is not a finite number). It runs once
+    per distinct token. A memo maps each token to the index of its value,
+    and a cell holds that index, so a cell costs at most a dict hit, the
+    duplicate check and a memo hit. Tokens repeat in every balanced table:
+    a player's non-member cells all hold their solo value.
+
+    The table is built from the distinct values. When all are exact, it is
+    stored as ints over the lcm of their denominators, each value scaled
+    once. A float among them makes the whole table float, and an lcm past
+    ``_MAX_DENOMINATOR_BITS`` keeps the Fractions; both go through
+    ``RewardMatrix`` itself.
     """
     labels = mask_of.labels
     table = [[None] * (1 << len(labels)) for _ in labels]
     row_of = dict(zip(labels, table))
     last_keys = masks = None
     filled = 0
+    memo: dict = {}
+    values: list = []
 
     def fault(what: str, row: list, mask: int, detail: str = "") -> FileFormatError:
         label = next(lab for lab, r in row_of.items() if r is row)
@@ -463,28 +505,47 @@ def _read_table(mask_of: _KeyMasks, runs, parse) -> RewardMatrix:
             for row, mask, token in cells:
                 if row[mask] is not None:
                     raise fault("duplicate reward", row, mask)
+                # True == 1 and hashes as 1, so a JSON true would find 1's entry
+                if token is True or token is False:
+                    raise ValueError
                 try:
-                    row[mask] = parse(token)
-                except ValueError:
-                    if isinstance(token, str) and not token.strip():
-                        raise fault("empty number", row, mask) from None
-                    raise fault("bad number", row, mask, f": {token!r}") from None
+                    row[mask] = memo[token]
+                except KeyError:
+                    values.append(read(token))
+                    row[mask] = memo[token] = len(values) - 1
         except KeyError as exc:  # from row_of alone: a coalition names an unknown player
             label, key = exc.args[0], coalition_key(labels, mask_of[second])
             raise FileFormatError(f"unknown player label {label!r}, coalition {key!r}") from None
+        except (ValueError, TypeError):  # TypeError: a JSON array or object, unhashable
+            if isinstance(token, str) and not token.strip():
+                raise fault("empty number", row, mask) from None
+            raise fault("bad number", row, mask, f": {token!r}") from None
         filled += len(tokens)
     if filled != len(labels) << len(labels):  # with no duplicates, a cell is missing
         row, mask = next((r, m) for r in table for m, x in enumerate(r) if x is None)
         raise fault("missing reward", row, mask)
+
+    def rows(entries: list) -> tuple[tuple, ...]:
+        return tuple(tuple(map(entries.__getitem__, row)) for row in table)
+
+    if all(type(x) is tuple for x in values):
+        d = 1
+        for q in {q for _, q in values}:
+            d = math.lcm(d, q)
+            if d.bit_length() > _MAX_DENOMINATOR_BITS:
+                break  # keep the Fractions, as RewardMatrix does
+        else:
+            return RewardMatrix._stored(len(labels), rows([p * (d // q) for p, q in values]), d)
+    entries = [Fraction(*x) if type(x) is tuple else x for x in values]
     try:
-        return RewardMatrix(len(labels), tuple(map(tuple, table)))
+        return RewardMatrix(len(labels), rows(entries))
     except OverflowError:  # a float made the table float, and an exact entry overflows it
         for row in table:
-            for mask, x in enumerate(row):
+            for mask, i in enumerate(row):
                 try:
-                    float(x)
+                    float(entries[i])
                 except OverflowError:
-                    detail = f": {x} is too large for a float"
+                    detail = f": {entries[i]} is too large for a float"
                     raise fault("bad number", row, mask, detail) from None
         raise
 
@@ -496,7 +557,7 @@ def parse_matrix(text: str) -> MatrixDocument:
     structure; ``_read_table`` reads the cells.
     """
     efficient: EfficientPlayerMap | None = None
-    parse = _parse_csv_number
+    read = _read_csv_number
     if text.lstrip().startswith("{"):
         labels, mode, doc = _read_header(text, "reward table file", "rewards", "efficient_player")
         mask_of = _KeyMasks(labels)
@@ -518,7 +579,7 @@ def parse_matrix(text: str) -> MatrixDocument:
             if not isinstance(per_player, dict):
                 raise FileFormatError(f"rewards for coalition {key!r} must be an object")
         runs = ((per_player, key, per_player.values()) for key, per_player in rewards.items())
-        parse = lambda raw: _parse_number(raw, mode)
+        read = lambda raw: _read_json_number(raw, mode)
     else:
         rows = [r for r in csv.reader(io.StringIO(text)) if r]
         if not rows:
@@ -542,7 +603,7 @@ def parse_matrix(text: str) -> MatrixDocument:
                     raise FileFormatError(f"row for player {r[0]!r} has the wrong width")
             keys = header[1:]
             runs = ((r[0], keys, r[1:]) for r in body)
-    matrix = _read_table(mask_of, runs, parse)
+    matrix = _read_table(mask_of, runs, read)
     return MatrixDocument(matrix, mask_of.labels, RATIONAL if matrix.exact else FLOAT, efficient)
 
 

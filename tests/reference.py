@@ -29,7 +29,10 @@ arithmetic on every entry. ``column`` is the former ``RewardMatrix.column``.
 ``parse_matrix_by_shape`` is ``parse_matrix`` as it read each table shape
 through a loop of its own (``_parse_matrix_json``,
 ``_parse_matrix_table_csv``, ``_parse_matrix_long_csv``) and finished all
-three in ``_finish_matrix``.
+three in ``_finish_matrix``. ``fraction_parse_matrix`` is ``parse_matrix``
+as it read every cell into a ``Fraction`` (``_fraction``, ``_parse_number``,
+``_parse_csv_number``) before ``RewardMatrix`` scaled it back into an int;
+both former readers read numbers with those three functions.
 """
 
 from __future__ import annotations
@@ -37,8 +40,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import sys
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import groupby, permutations, product, repeat
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from fairshare import (
@@ -77,8 +83,9 @@ from fairshare.formats import (
     RATIONAL,
     _check_labels,
     _json_loads,
-    _parse_csv_number,
-    _parse_number,
+    _JsonDecimal,
+    _KeyMasks,
+    _read_header,
 )
 from fairshare.oracle import (
     GLOBAL_MAX_PLAYERS,
@@ -1079,6 +1086,178 @@ def fraction_brute_force_solve(game: Game) -> OracleResult:
 
     matrix = RewardMatrix(n, tuple(tuple(row) for row in rows))
     return OracleResult(matrix, feasible, unique)
+
+
+# The number readers as they were before exact cells were read as int
+# pairs: one Fraction per cell.
+def _fraction(token: str) -> Fraction:
+    """``Fraction(token)``, with a fast path for a plain integer or "p/q".
+
+    The fast path takes only an optional sign, decimal digits and at most
+    one "/" followed by decimal digits, all of which ``Fraction`` accepts
+    with the same value; any other goes to ``Fraction`` itself, unless its
+    exponent makes more digits than Python writes as text (ValueError).
+    """
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isdecimal() and (not slash or den.isdecimal()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    mantissa, e, exponent = token.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if e and limit and len(mantissa) + abs(int(exponent)) > limit:
+        raise ValueError
+    return Fraction(token)
+
+
+def _parse_number(raw, mode: str) -> Scalar:
+    """One JSON number; raises ValueError when it is not a finite number.
+
+    Float mode gives the double nearest the exact value, rational mode the
+    exact value itself.
+    """
+    if type(raw) is _JsonDecimal:
+        if mode != FLOAT:
+            return _fraction(raw)
+        x = float(raw)
+        if not x and not raw.lower().partition("e")[0].strip("+-.0"):
+            # float() keeps the sign of "-0.0"; its exact value has none
+            return 0.0
+        if not math.isfinite(x):
+            raise ValueError
+        return x
+    if isinstance(raw, str):
+        try:
+            value = _fraction(raw.strip())
+        except ZeroDivisionError:
+            raise ValueError from None
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        value = Fraction(raw)
+    else:
+        raise ValueError
+    if mode != FLOAT:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError from None
+
+
+def _parse_csv_number(token: str) -> Scalar:
+    """One CSV number; raises ValueError when it is not a finite number."""
+    token = token.strip()
+    try:
+        if "." in token or "e" in token or "E" in token:
+            x = float(token)
+            if not math.isfinite(x):
+                raise ValueError
+            return x
+        return _fraction(token)
+    except ZeroDivisionError:
+        raise ValueError from None
+
+
+def _fraction_read_table(mask_of: _KeyMasks, runs, parse) -> RewardMatrix:
+    """The one cell reader as it read a ``Fraction`` or a float per cell,
+    with ``parse``, and left the scaling to ``RewardMatrix``."""
+    labels = mask_of.labels
+    table = [[None] * (1 << len(labels)) for _ in labels]
+    row_of = dict(zip(labels, table))
+    last_keys = masks = None
+    filled = 0
+
+    def fault(what: str, row: list, mask: int, detail: str = "") -> FileFormatError:
+        label = next(lab for lab, r in row_of.items() if r is row)
+        key = coalition_key(labels, mask)
+        return FileFormatError(f"{what} for player {label!r}, coalition {key!r}{detail}")
+
+    for first, second, tokens in runs:
+        if type(first) is str:
+            if second is not last_keys:
+                last_keys, masks = second, list(map(mask_of.__getitem__, second))
+            cells = zip(repeat(row_of[first]), masks, tokens)
+        else:
+            cells = zip(map(row_of.__getitem__, first), repeat(mask_of[second]), tokens)
+        try:
+            for row, mask, token in cells:
+                if row[mask] is not None:
+                    raise fault("duplicate reward", row, mask)
+                try:
+                    row[mask] = parse(token)
+                except ValueError:
+                    if isinstance(token, str) and not token.strip():
+                        raise fault("empty number", row, mask) from None
+                    raise fault("bad number", row, mask, f": {token!r}") from None
+        except KeyError as exc:  # from row_of alone: a coalition names an unknown player
+            label, key = exc.args[0], coalition_key(labels, mask_of[second])
+            raise FileFormatError(f"unknown player label {label!r}, coalition {key!r}") from None
+        filled += len(tokens)
+    if filled != len(labels) << len(labels):  # with no duplicates, a cell is missing
+        row, mask = next((r, m) for r in table for m, x in enumerate(r) if x is None)
+        raise fault("missing reward", row, mask)
+    try:
+        return RewardMatrix(len(labels), tuple(map(tuple, table)))
+    except OverflowError:  # a float made the table float, and an exact entry overflows it
+        for row in table:
+            for mask, x in enumerate(row):
+                try:
+                    float(x)
+                except OverflowError:
+                    detail = f": {x} is too large for a float"
+                    raise fault("bad number", row, mask, detail) from None
+        raise
+
+
+def fraction_parse_matrix(text: str) -> MatrixDocument:
+    """``parse_matrix`` as it read every cell into a ``Fraction`` or a float."""
+    efficient: EfficientPlayerMap | None = None
+    parse = _parse_csv_number
+    if text.lstrip().startswith("{"):
+        labels, mode, doc = _read_header(text, "reward table file", "rewards", "efficient_player")
+        mask_of = _KeyMasks(labels)
+        if "efficient_player" in doc:
+            efficient = {}
+            for key, lab in doc["efficient_player"].items():
+                mask = mask_of[key]
+                if mask in efficient:
+                    key = coalition_key(labels, mask)
+                    raise FileFormatError(f"duplicate efficient player for coalition {key!r}")
+                bit = mask_of.bit_of.get(lab) if type(lab) is str else None
+                if bit is None:
+                    raise FileFormatError(f"unknown player label {lab!r}")
+                if not mask & bit:
+                    raise FileFormatError(f"efficient player {lab!r} is not in coalition {key!r}")
+                efficient[mask] = bit.bit_length() - 1
+        rewards = doc["rewards"]
+        for key, per_player in rewards.items():
+            if not isinstance(per_player, dict):
+                raise FileFormatError(f"rewards for coalition {key!r} must be an object")
+        runs = ((per_player, key, per_player.values()) for key, per_player in rewards.items())
+        parse = lambda raw: _parse_number(raw, mode)
+    else:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        if not rows:
+            raise FileFormatError("empty reward table file")
+        header, body = rows[0], rows[1:]
+        if not body:
+            raise FileFormatError("reward table has no player rows")
+        if [c.strip() for c in header] == ["player", "coalition", "reward"]:
+            if any(len(r) != 3 for r in body):
+                raise FileFormatError("long CSV rows must be player,coalition,reward")
+            mask_of = _KeyMasks(_check_labels(list(dict.fromkeys(r[0] for r in body))))
+            # one run per stretch of rows that share a player
+            stretches = (list(rs) for _, rs in groupby(body, itemgetter(0)))
+            runs = ((s[0][0], [r[1] for r in s], [r[2] for r in s]) for s in stretches)
+        else:
+            if header[0] != "player":
+                raise FileFormatError('wide CSV must start with a "player" header column')
+            mask_of = _KeyMasks(_check_labels([r[0] for r in body]))
+            for r in body:
+                if len(r) != len(header):
+                    raise FileFormatError(f"row for player {r[0]!r} has the wrong width")
+            keys = header[1:]
+            runs = ((r[0], keys, r[1:]) for r in body)
+    matrix = _fraction_read_table(mask_of, runs, parse)
+    return MatrixDocument(matrix, mask_of.labels, RATIONAL if matrix.exact else FLOAT, efficient)
 
 
 # The reward-table readers as they were before all three shapes shared one

@@ -30,7 +30,13 @@ from fairshare import (
     serialize_matrix,
     solve,
 )
-from reference import column, dumps_game, dumps_matrix, parse_matrix_by_shape
+from reference import (
+    column,
+    dumps_game,
+    dumps_matrix,
+    fraction_parse_matrix,
+    parse_matrix_by_shape,
+)
 
 
 def game_text(values: dict, players=None, mode=None) -> str:
@@ -647,6 +653,48 @@ class TestFloatOverflow:
             parse(text)
 
 
+# "1e-5000" and "1e5000" spelled as a JSON number, a JSON string and a CSV
+# token. Only an exact value is held to the digit limit, so in float mode
+# 1e-5000 reads as 0.0 in every spelling, and 1e5000, never finite, is a
+# bad number. A CSV file has no number mode: its exponent token makes the
+# table float, so there "mode" is only the spelling of the other cell.
+DIGIT_LIMIT_CASES = [
+    (kind, spelling, token, mode)
+    for kind, spellings in (("game", ("number", "string")), ("table", ("number", "string", "csv")))
+    for spelling in spellings
+    for token in ("1e-5000", "1e5000")
+    for mode in ("rational", "float")
+]
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("kind,spelling,token,mode", DIGIT_LIMIT_CASES)
+    def test_one_reading_in_every_spelling(self, kind, spelling, token, mode):
+        raw = json.dumps(token) if spelling == "string" else token
+        if kind == "game":
+            parse, where = parse_game, "coalition '1'"
+            text = (
+                f'{{"players": 2, "number_mode": "{mode}", '
+                f'"values": {{"1": {raw}, "2": 1, "1,2": 2}}}}'
+            )
+            value = lambda doc: doc.game.value(1)
+        else:
+            parse, where = parse_matrix, "player '1', coalition '1'"
+            if spelling == "csv":
+                text = f"player,,1\n1,{'1' if mode == 'rational' else '1.0'},{raw}\n"
+            else:
+                text = (
+                    f'{{"players": 1, "number_mode": "{mode}", '
+                    f'"rewards": {{"": {{"1": 1}}, "1": {{"1": {raw}}}}}}}'
+                )
+            value = lambda doc: doc.matrix.reward(0, 1)
+        if token == "1e5000" or (mode == "rational" and spelling != "csv"):
+            with pytest.raises(FileFormatError, match=f"bad number for {where}"):
+                parse(text)
+        else:
+            assert _bits(value(parse(text))) == _bits(0.0)
+
+
 def _writer_cases():
     """(id, MatrixDocument, GameDocument) pairs covering the writer's shapes."""
     for n in range(1, 9):
@@ -741,6 +789,91 @@ class TestReaderMatchesFormerReaders:
         outcome = _outcome(parse_matrix, text)
         assert outcome == _outcome(parse_matrix_by_shape, text)
         assert outcome[1] == "float"
+
+
+def _stored_outcome(parse, text: str):
+    """What a reader makes of ``text``: the stored form of its table, its
+    number mode, labels and efficient players, or its error's class and
+    full text."""
+    try:
+        doc = parse(text)
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+    matrix = doc.matrix
+    stored = repr(matrix._numerators), matrix._denominator
+    return stored, doc.number_mode, doc.labels, doc.efficient_player
+
+
+PRIMES = [p for p in range(2, 282) if all(p % q for q in range(2, p))]
+
+
+class TestReaderMatchesFractionReader:
+    """The int-pair reader stores what the former Fraction-per-cell reader
+    (tests/reference.py) stored, ints and denominator alike, and fails
+    with the very same error text."""
+
+    @pytest.mark.parametrize("form", ["json", "table", "long"])
+    @pytest.mark.parametrize(
+        "mdoc", [c[1] for c in WRITER_CASES], ids=[c[0] for c in WRITER_CASES]
+    )
+    def test_writer_cases(self, mdoc, form):
+        text = serialize_matrix(mdoc, form)
+        assert _stored_outcome(parse_matrix, text) == _stored_outcome(fraction_parse_matrix, text)
+
+    @pytest.mark.parametrize("form", ["json", "table", "long"])
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_tables(self, n, mode, form):
+        text = serialize_matrix(_random_doc(n, mode), form)
+        assert _stored_outcome(parse_matrix, text) == _stored_outcome(fraction_parse_matrix, text)
+
+    @pytest.mark.parametrize("fault,shape", FAULT_CASES)
+    def test_malformed_tables(self, fault, shape):
+        cells, mode, *_ = CELL_FAULTS[fault]
+        text = _cells_text(shape, cells, mode)
+        assert _stored_outcome(parse_matrix, text) == _stored_outcome(fraction_parse_matrix, text)
+
+    @pytest.mark.parametrize("form", ["json", "table", "long"])
+    @pytest.mark.parametrize("token", NUMBER_TOKENS + ["+3", "-0", " 1/3 ", "1/0"])
+    def test_tokens(self, solved_doc, form, token):
+        text = _with_token(solved_doc, form, token)
+        assert _stored_outcome(parse_matrix, text) == _stored_outcome(fraction_parse_matrix, text)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("first,second", [(1, True), (True, 1), (0, False), (False, 0)])
+    def test_bools_next_to_equal_ints(self, mode, first, second):
+        # True == 1 and hashes as 1: a memo keyed by the bare token would
+        # read a true cell as the 1 before it
+        cells = [(lab, key, 2) for lab, key, _ in BASE_CELLS]
+        cells = _with(_with(cells, "a", first), "a,b", second)
+        text = _cells_text("json", cells, mode)
+        outcome = _stored_outcome(parse_matrix, text)
+        assert outcome == _stored_outcome(fraction_parse_matrix, text)
+        assert outcome[0] is FileFormatError and "bad number" in outcome[1]
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("number_first", [True, False])
+    @pytest.mark.parametrize("token", ["0.1", "-0.0", "-1e-400", "2.5e-324", "1E5"])
+    def test_number_and_string_of_one_text(self, mode, number_first, token):
+        # a JSON number and a JSON string of the same text are equal str
+        # keys, so they share one memo entry and must read alike
+        cells = _with(_with(BASE_CELLS, "a", "NUMBER"), "a,b", "STRING")
+        text = _cells_text("json", cells, mode)
+        text = text.replace('"NUMBER"', token if number_first else json.dumps(token))
+        text = text.replace('"STRING"', json.dumps(token) if number_first else token)
+        assert _stored_outcome(parse_matrix, text) == _stored_outcome(fraction_parse_matrix, text)
+
+    @pytest.mark.parametrize("form", ["json", "table", "long"])
+    def test_denominator_past_the_cap_keeps_fractions(self, form):
+        # entries 1/p for the first 60 primes: an lcm of far more than 256 bits
+        rows = tuple(
+            tuple(Fraction(1, PRIMES[(i * 16 + m) % 60]) for m in range(16)) for i in range(4)
+        )
+        doc = MatrixDocument(RewardMatrix(4, rows), default_labels(4), "rational", None)
+        text = serialize_matrix(doc, form)
+        assert _stored_outcome(parse_matrix, text) == _stored_outcome(fraction_parse_matrix, text)
+        matrix = parse_matrix(text).matrix
+        assert matrix._denominator is None and matrix == doc.matrix
 
 
 class TestDirectWriter:
