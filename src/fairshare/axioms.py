@@ -1,14 +1,29 @@
 """Exhaustive checkers for the reward-allocation axioms.
 
-Each checker enumerates every coalition (and pair, and subset) its
-quantifier ranges over and returns a verdict plus, on failure, a witness:
-the concrete players, coalitions, and values that violate the condition.
+Each checker covers every coalition (and pair, and subset) its quantifier
+ranges over and returns a verdict plus, on failure, a witness: the
+concrete players, coalitions, and values that violate the condition.
 Witnesses are plain dicts so they can be re-evaluated or serialized as-is.
 
+R1-R5 pass over the table a player column at a time. For each n a cache
+holds, per player i, the masks that contain i and the same masks without
+i; ``operator.itemgetter`` gathers a reward row, the values and the
+slacks at them, and C-level ``map``, ``count`` and ``compress`` compare
+whole columns. A cheap screen clears most entries, and the axiom's own
+comparison runs on the rest (see ``_least_failure``), so verdicts and
+witnesses are those of an entry-by-entry scan in every number mode.
+
+F5 on an exact table without slack reads the table's own potential:
+Π(∅) = 0 and Π(C) = Π(C∖l) + r_l(C) for C's lowest member l. F5 holds iff
+``r_i(C) = Π(C) − Π(C∖i)`` everywhere (the balanced contributions of
+Myerson, IJGT 1980; the potential of Hart and Mas-Colell, Econometrica
+1989), one comparison per entry instead of one per member pair. Float
+tables, and any table under a slack, keep the pair scan.
+
 Verdicts distinguish a pass whose premise never applied (PASS_VACUOUS)
-from one that was actually exercised. Scans run in a fixed order,
-ascending coalition mask and then ascending player index, so the first
-witness is deterministic.
+from one that was actually exercised. Witnesses are the first failure in
+ascending coalition mask and then ascending player index, so they are
+deterministic.
 
 The conditional axioms follow the implication shape "if the game relates
 players like X, rewards must relate like Y"; the checkers first find where
@@ -21,7 +36,10 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import lru_cache
+from itertools import compress, cycle, repeat
+from operator import add, eq, itemgetter, le, not_, sub, xor
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
 from .games import Game, Scalar, members, submasks
@@ -136,6 +154,62 @@ class AxiomReport:
         return tuple(r for r in self.results if not r.passed)
 
 
+class _Column(NamedTuple):
+    """One player's coalitions: ``with_i`` holds the masks that contain
+    player i, ascending, and ``take`` gathers a row, the values or the
+    slacks at them, as a tuple."""
+
+    bit: int
+    with_i: tuple[int, ...]
+    take: Callable[[Sequence], tuple]
+
+    def without_i(self) -> Iterator[int]:
+        """The same masks with i removed, in the same order."""
+        return map(xor, self.with_i, repeat(self.bit))
+
+    def take_without(self, seq: Sequence) -> tuple:
+        """``seq`` at ``without_i``: rotated by ``bit``, ``seq`` holds
+        ``seq[m ^ bit]`` at every m in ``with_i``, so no second index
+        tuple is kept."""
+        return self.take(seq[-self.bit :] + seq[: -self.bit])
+
+
+def _gather(masks: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    if len(masks) == 1:  # itemgetter of one index returns the item, not a tuple
+        (mask,) = masks
+        return lambda seq: (seq[mask],)
+    return itemgetter(*masks)
+
+
+def _build_columns(n: int) -> tuple[_Column, ...]:
+    """Every player's ``_Column`` for n players.
+
+    The tuples share the ints of one mask list, and ``itemgetter`` keeps
+    the tuple it is given, so at n=14 the columns take 1.4 MB (tracemalloc)
+    rather than one int object per entry.
+    """
+    masks = list(range(1 << n))
+    out = []
+    for i in range(n):
+        half = [False] * (1 << i)
+        with_i = tuple(compress(masks, cycle(half + [True] * len(half))))
+        out.append(_Column(1 << i, with_i, _gather(with_i)))
+    return tuple(out)
+
+
+# Up to n=10 the columns are built once per n and kept, under 0.1 MB each.
+# Larger ones are built per check. Kept, the n=12 and n=14 columns (1.8 MB)
+# raised the peak RSS of one cycle of perfbench's ``large``, which checks
+# those sizes in turn, from 76.8 to 79.4-80.1 MB on two seeds; building them
+# costs 0.8 and 4.3 ms, about 5% of a check.
+_KEPT_COLUMNS_MAX_PLAYERS = 10
+_kept_columns = lru_cache(maxsize=None)(_build_columns)
+
+
+def _columns(n: int) -> tuple[_Column, ...]:
+    return _kept_columns(n) if n <= _KEPT_COLUMNS_MAX_PLAYERS else _build_columns(n)
+
+
 class _Numbers(NamedTuple):
     """Game values and reward rows as every single-table checker compares them.
 
@@ -144,13 +218,17 @@ class _Numbers(NamedTuple):
     ``a - b <= eps[C]``, strictly greater means ``a - b > eps[C]``. When
     ``denominator`` is set, the numbers are the game's and the table's
     stored ints over that shared denominator, and eps is 0; otherwise they
-    are the entries themselves.
+    are the entries themselves. ``exact`` says that every slack is 0 and
+    game and table are both exact, so sums of entries are exact too.
+    ``columns`` holds each player's ``_Column``.
     """
 
     values: Sequence
     rows: Sequence[Sequence]
     eps: Sequence[Scalar]
     denominator: int | None
+    exact: bool
+    columns: tuple[_Column, ...]
 
     def unscale(self, x):
         """A compared number as the entry it came from (for witnesses)."""
@@ -170,53 +248,100 @@ def _numbers(game: Game, matrix: RewardMatrix, tol: Tolerance | None) -> _Number
             f"matrix has {matrix.n_players} players, game has {game.n_players}"
         )
     eps = _slacks(tol, game.values, game, matrix)
+    exact = not any(eps) and game.exact and matrix.exact
+    columns = _columns(game.n_players)
     d = game._denominator
-    if d is not None and d == matrix._denominator and not any(eps):
-        return _Numbers(game._numerators, matrix._numerators, eps, d)
-    return _Numbers(game.values, matrix.rewards, eps, None)
+    if d is not None and d == matrix._denominator and exact:
+        return _Numbers(game._numerators, matrix._numerators, eps, d, exact, columns)
+    return _Numbers(game.values, matrix.rewards, eps, None, exact, columns)
+
+
+def _least_failure(columns, holds=None) -> tuple[int, int] | None:
+    """The least (mask, player) where a player's condition fails, or None.
+
+    ``columns`` yields (i, masks, cleared), one or two columns per player.
+    ``cleared`` says mask by mask whether a screen, one C-level comparison
+    per entry, has shown that the condition holds there. ``holds(i, mask)``
+    is the axiom's own comparison. It runs only on the masks the screen
+    left, ascending, up to the column's first failure; without ``holds``
+    the screen is the whole condition. The least failure over all columns
+    is the one a scan in ascending mask and then player order meets first.
+
+    A screen compares with slack 0 and without the subtraction, such as
+    ``0 <= r`` for ``0 - r <= eps[C]``. Game values are finite and slacks
+    nonnegative, so ``a <= b`` gives ``a - b <= 0 <= eps[C]``, in rounded
+    arithmetic too, and a NaN fails the screen and meets the comparison.
+    So every verdict and witness is the comparison's. In exact mode the
+    screen is the comparison, and ``holds`` runs only where it fails.
+    """
+    found = []
+    for i, masks, cleared in columns:
+        for mask in compress(masks, map(not_, cleared)):
+            if holds is None or not holds(i, mask):
+                found.append((mask, i))
+                break
+    return min(found, default=None)
+
+
+def _entry_verdict(code: str, nums: _Numbers, bad, compared=None) -> CheckResult:
+    """PASS when ``bad`` is None, else FAIL at the (mask, player) it names,
+    with the reward there and, for ``compared = (key, at)``, the game value
+    ``values[at(mask, player)]`` the reward was compared with."""
+    if bad is None:
+        return CheckResult(code, Verdict.PASS)
+    mask, i = bad
+    witness = {"coalition": mask, "player": i, "reward": nums.unscale(nums.rows[i][mask])}
+    if compared is not None:
+        key, at = compared
+        witness[key] = nums.unscale(nums.values[at(mask, i)])
+    return CheckResult(code, Verdict.FAIL, witness)
+
+
+_SOLO_VALUE = ("solo_value", lambda mask, i: 1 << i)
 
 
 def _nonnegativity(nums: _Numbers) -> CheckResult:
     """R1: every member's reward is nonnegative."""
-    rows = nums.rows
-    for mask, e in enumerate(nums.eps):
-        for i in members(mask):
-            r = rows[i][mask]
-            if not 0 - r <= e:
-                return CheckResult(
-                    "R1",
-                    Verdict.FAIL,
-                    {"coalition": mask, "player": i, "reward": nums.unscale(r)},
-                )
-    return CheckResult("R1", Verdict.PASS)
+    rows, eps = nums.rows, nums.eps
+    bad = _least_failure(
+        (
+            (i, col.with_i, map(le, repeat(0), col.take(row)))
+            for i, (row, col) in enumerate(zip(rows, nums.columns))
+        ),
+        lambda i, mask: 0 - rows[i][mask] <= eps[mask],
+    )
+    return _entry_verdict("R1", nums, bad)
 
 
 def _feasibility(nums: _Numbers) -> CheckResult:
     """R2: no member's reward exceeds the coalition's value."""
-    rows = nums.rows
-    for mask, (v_c, e) in enumerate(zip(nums.values, nums.eps)):
-        for i in members(mask):
-            r = rows[i][mask]
-            if not r - v_c <= e:
-                return CheckResult(
-                    "R2",
-                    Verdict.FAIL,
-                    {
-                        "coalition": mask,
-                        "player": i,
-                        "reward": nums.unscale(r),
-                        "coalition_value": nums.unscale(v_c),
-                    },
-                )
-    return CheckResult("R2", Verdict.PASS)
+    rows, values, eps = nums.rows, nums.values, nums.eps
+    bad = _least_failure(
+        (
+            (i, col.with_i, map(le, col.take(row), col.take(values)))
+            for i, (row, col) in enumerate(zip(rows, nums.columns))
+        ),
+        lambda i, mask: rows[i][mask] - values[mask] <= eps[mask],
+    )
+    return _entry_verdict("R2", nums, bad, ("coalition_value", lambda mask, i: mask))
 
 
 def _weak_efficiency(nums: _Numbers) -> CheckResult:
-    """R3: in every non-empty coalition some member gets the full value."""
-    rows = nums.rows
-    for mask, (v_c, e) in enumerate(zip(nums.values, nums.eps)):
-        if not mask:
-            continue
+    """R3: in every non-empty coalition some member gets the full value.
+
+    A member whose reward equals v(C) covers C. Only the coalitions that
+    no member covers that way take the comparison within slack, ascending.
+    """
+    rows, values, eps = nums.rows, nums.values, nums.eps
+    # one byte per mask: a set of them, freed after every check, raised the
+    # peak RSS of perfbench's ``large`` from 76.8 to 80.6 MB on one seed
+    covered = bytearray(len(values))
+    for row, col in zip(rows, nums.columns):
+        for mask in compress(col.with_i, map(eq, col.take(row), col.take(values))):
+            covered[mask] = 1
+    mask = 0
+    while (mask := covered.find(0, mask + 1)) != -1:
+        v_c, e = values[mask], eps[mask]
         mem = members(mask)
         if not any(abs(rows[i][mask] - v_c) <= e for i in mem):
             return CheckResult(
@@ -231,50 +356,42 @@ def _weak_efficiency(nums: _Numbers) -> CheckResult:
     return CheckResult("R3", Verdict.PASS)
 
 
+def _solo_screen(compare, v_i, others: tuple) -> Iterable[bool]:
+    """The screen for a player's non-member entries, which all hold the
+    solo value ``v_i`` in a balanced table: nothing is left to compare when
+    they all equal it, else ``compare(v_i, r)`` entry by entry."""
+    if others.count(v_i) == len(others):
+        return ()
+    return map(compare, repeat(v_i), others)
+
+
 def _individual_rationality(nums: _Numbers) -> CheckResult:
     """R4: nobody, member or not, is ever rewarded below their solo value."""
-    rows, eps = nums.rows, nums.eps
-    solo = [(i, 1 << i, row, nums.values[1 << i]) for i, row in enumerate(rows)]
-    no_slack = not any(eps)  # exact: compare with 0, not a lookup per entry
-    for mask in range(len(nums.values)):
-        for i, bit, row, v_i in solo:
-            r = row[mask]
-            if not v_i - r <= (0 if no_slack else eps[mask | bit]):
-                return CheckResult(
-                    "R4",
-                    Verdict.FAIL,
-                    {
-                        "coalition": mask,
-                        "player": i,
-                        "reward": nums.unscale(r),
-                        "solo_value": nums.unscale(v_i),
-                    },
-                )
-    return CheckResult("R4", Verdict.PASS)
+    rows, values, eps = nums.rows, nums.values, nums.eps
+
+    def columns():
+        for i, (row, col) in enumerate(zip(rows, nums.columns)):
+            v_i = values[1 << i]
+            yield i, col.with_i, map(le, repeat(v_i), col.take(row))
+            yield i, col.without_i(), _solo_screen(le, v_i, col.take_without(row))
+
+    bad = _least_failure(
+        columns(), lambda i, mask: values[1 << i] - rows[i][mask] <= eps[mask | 1 << i]
+    )
+    return _entry_verdict("R4", nums, bad, _SOLO_VALUE)
 
 
 def _nonparticipation(nums: _Numbers) -> CheckResult:
     """R5: non-members keep exactly their solo value."""
-    rows, eps = nums.rows, nums.eps
-    solo = [(i, 1 << i, row, nums.values[1 << i]) for i, row in enumerate(rows)]
-    no_slack = not any(eps)  # exact: compare with 0, not a lookup per entry
-    for mask in range(len(nums.values)):
-        for i, bit, row, v_i in solo:
-            if mask & bit:
-                continue
-            r = row[mask]
-            if not abs(r - v_i) <= (0 if no_slack else eps[mask | bit]):
-                return CheckResult(
-                    "R5",
-                    Verdict.FAIL,
-                    {
-                        "coalition": mask,
-                        "player": i,
-                        "reward": nums.unscale(r),
-                        "solo_value": nums.unscale(v_i),
-                    },
-                )
-    return CheckResult("R5", Verdict.PASS)
+    rows, values, eps = nums.rows, nums.values, nums.eps
+    bad = _least_failure(
+        (
+            (i, col.without_i(), _solo_screen(eq, values[1 << i], col.take_without(row)))
+            for i, (row, col) in enumerate(zip(rows, nums.columns))
+        ),
+        lambda i, mask: abs(rows[i][mask] - values[1 << i]) <= eps[mask | 1 << i],
+    )
+    return _entry_verdict("R5", nums, bad, _SOLO_VALUE)
 
 
 def useless_players(game: Game, tol: Tolerance | None = None) -> list[int]:
@@ -445,14 +562,59 @@ def _strict_desirability(nums: _Numbers) -> CheckResult:
     return CheckResult("F3", Verdict.PASS if applied else Verdict.PASS_VACUOUS)
 
 
+def _potential(rows: Sequence[Sequence]) -> list:
+    """Π(∅) = 0 and Π(C) = Π(C∖l) + r_l(C), with l C's lowest member: the
+    potential that the table is the gradient of, if it is a gradient.
+
+    Built from the highest player down. Before player l's step, ``p``
+    holds Π, ascending, on the multiples of 2^(l+1): the masks with no
+    member below l+1. The masks whose lowest member is l are those
+    multiples plus 2^l, so they interleave with them, each one bit above
+    the mask it extends.
+    """
+    p = [0]
+    for l in reversed(range(len(rows))):
+        bit = 1 << l
+        merged = [0] * (2 * len(p))
+        merged[::2] = p
+        merged[1::2] = map(add, p, rows[l][bit :: 2 * bit])
+        p = merged
+    return p
+
+
 def _balanced_reciprocity(nums: _Numbers) -> CheckResult:
     """F5: within any coalition, i's gain from j joining equals j's gain
-    from i joining."""
+    from i joining.
+
+    An exact table without slack goes through the potential Π that the
+    table itself gives (``_potential``). F5 holds iff
+    ``r_i(C) == Π(C) − Π(C∖i)`` everywhere. The least coalition where
+    that fails is the least one where some pair fails: every coalition
+    below it is a gradient, so there a pair's gain difference is the
+    difference of the two members' mismatches, and C's lowest member has
+    none. So only that coalition takes the pair scan, which reports the
+    pair a full scan would.
+
+    Every other table takes the pair scan on every coalition. Float sums
+    along Π round otherwise than the pair differences, and a residual
+    within slack on each square does not bound Π's mismatch, which adds
+    residuals along the chain of lowest members; so Π would accept or
+    reject other tables than the pair scan does.
+    """
     rows, eps = nums.rows, nums.eps
     if len(rows) < 2:
         return CheckResult("F5", Verdict.PASS_VACUOUS)
+    scan: Iterable[int] = range(len(eps))
+    if nums.exact:
+        p = _potential(rows)
+        bad = _least_failure(
+            (i, col.with_i, map(eq, col.take(row), map(sub, col.take(p), col.take_without(p))))
+            for i, (row, col) in enumerate(zip(rows, nums.columns))
+        )
+        scan = () if bad is None else (bad[0],)
     bits = [1 << i for i in range(len(rows))]
-    for mask, e in enumerate(eps):
+    for mask in scan:
+        e = eps[mask]
         mem = members(mask)
         for a, i in enumerate(mem):
             row_i = rows[i]

@@ -581,19 +581,23 @@ def parse_matrix(text: str) -> MatrixDocument:
         runs = ((per_player, key, per_player.values()) for key, per_player in rewards.items())
         read = lambda raw: _read_json_number(raw, mode)
     else:
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        rows = list(filter(None, csv.reader(io.StringIO(text))))
         if not rows:
             raise FileFormatError("empty reward table file")
         header, body = rows[0], rows[1:]
         if not body:
             raise FileFormatError("reward table has no player rows")
         if [c.strip() for c in header] == ["player", "coalition", "reward"]:
-            if any(len(r) != 3 for r in body):
-                raise FileFormatError("long CSV rows must be player,coalition,reward")
-            mask_of = _KeyMasks(_check_labels(list(dict.fromkeys(r[0] for r in body))))
-            # one run per stretch of rows that share a player
-            stretches = (list(rs) for _, rs in groupby(body, itemgetter(0)))
-            runs = ((s[0][0], [r[1] for r in s], [r[2] for r in s]) for s in stretches)
+            # One pass over the rows: one run per stretch of rows that share
+            # a player, its width checked and its rows split into keys and
+            # tokens. The labels then come from the runs, not the rows.
+            runs = []
+            for label, stretch in groupby(body, itemgetter(0)):
+                stretch = list(stretch)
+                if set(map(len, stretch)) != {3}:
+                    raise FileFormatError("long CSV rows must be player,coalition,reward")
+                runs.append((label, [r[1] for r in stretch], [r[2] for r in stretch]))
+            mask_of = _KeyMasks(_check_labels(list(dict.fromkeys(run[0] for run in runs))))
         else:
             if header[0] != "player":
                 raise FileFormatError('wide CSV must start with a "player" header column')

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,11 +26,12 @@ from fairshare import (
     raise_coalition_value,
     random_monotone_game,
     scaled_rho_shapley,
+    shapley,
     solve,
     symmetric_pairs,
     useless_players,
 )
-from fairshare.axioms import _numbers
+from fairshare.axioms import _numbers, _potential
 from fairshare.games import _MAX_DENOMINATOR_BITS
 from fairshare.oracle import agree_up_to_rounding
 from reference import (
@@ -502,7 +504,8 @@ class TestReferenceCheckers:
             i, mask = next(cells)
             bad = bad.replace_entry(i, mask, bad.rewards[i][mask] + Fraction(1, p))
             bits += p.bit_length() - 1
-        assert _numbers(g, bad, None).denominator is None
+        nums = _numbers(g, bad, None)
+        assert nums.denominator is None and nums.exact  # Fractions, through the potential
         self.assert_agree(g, bad)
         self.assert_fraction_witnesses(g, bad)
         assert not check_axiom("F5", g, bad).passed
@@ -551,6 +554,151 @@ class TestReferenceCheckers:
                 moved = matrix.replace_entry(i, mask, base + sign * factor * slack)
                 self.assert_agree(g, moved)
                 assert check_axiom(code, g, moved).passed is (within != (code == "F3")), code
+
+    def test_the_least_mask_wins_over_the_least_player(self):
+        # A higher-index player's cell fails at a lower mask than a lower
+        # one's, so each player's column fails first somewhere else than
+        # the scan does; the witness is the least (mask, player).
+        rng = random.Random(7)
+        for g in random_games(range(3, 7), 2, seed0=4400):
+            n, grand = g.n_players, g.grand_coalition
+            for form in (g, g.as_float()):
+                matrix, v = solve(form).matrix, form.values
+                lo, hi = sorted(rng.sample(range(n), 2))
+                for member, code, move in (
+                    (True, "R1", lambda c, i: -1),
+                    (True, "R2", lambda c, i: v[c] + 1),
+                    (False, "R4", lambda c, i: v[1 << i] - 1),
+                    (False, "R5", lambda c, i: v[1 << i] + 1),
+                ):
+                    def cells(i):
+                        return [c for c in range(grand + 1) if bool(c >> i & 1) is member]
+
+                    c_hi = rng.choice(cells(hi)[:-1])
+                    c_lo = rng.choice([c for c in cells(lo) if c > c_hi])
+                    bad = matrix.replace_entry(hi, c_hi, move(c_hi, hi))
+                    bad = bad.replace_entry(lo, c_lo, move(c_lo, lo))
+                    self.assert_agree(form, bad)
+                    witness = check_axiom(code, form, bad).witness
+                    assert (witness["coalition"], witness["player"]) == (c_hi, hi), code
+                    # a third cell moved anywhere
+                    i, c = rng.randrange(n), rng.randrange(1 << n)
+                    shift = Fraction(1, 3) if form.exact else 1 / 3
+                    self.assert_agree(form, bad.replace_entry(i, c, bad.rewards[i][c] - shift))
+
+    def test_float_entries_at_the_slack_boundary(self):
+        # Each screen clears an entry only where the comparison itself
+        # holds, so entries at v ± eps[C], and one ulp past, get the
+        # comparison's own verdict under either slack.
+        seen = set()
+        for g in random_games([3, 4, 5], 3, seed0=4500):
+            g = g.as_float()
+            matrix, efficient = solve(g)
+            v, grand = g.values, g.grand_coalition
+            ulps = reference.rounding_ulps(g.n_players)
+            for tol, eps in ((None, ulps * v[grand]), (Tolerance.absolute(1e-9), 1e-9)):
+                k = efficient[grand]
+                i = (k + 1) % g.n_players  # not efficient in the grand coalition
+                out = grand ^ 1 << i  # i's non-member cell, on the grand slack
+                for code, player, mask, edge, toward in (
+                    ("R1", i, grand, 0 - eps, -math.inf),
+                    ("R2", i, grand, v[grand] + eps, math.inf),
+                    ("R3", k, grand, v[grand] - eps, -math.inf),
+                    ("R3", k, grand, v[grand] + eps, math.inf),
+                    ("R4", i, out, v[1 << i] - eps, -math.inf),
+                    ("R5", i, out, v[1 << i] - eps, -math.inf),
+                    ("R5", i, out, v[1 << i] + eps, math.inf),
+                ):
+                    for x in (edge, math.nextafter(edge, toward)):
+                        moved = matrix.replace_entry(player, mask, x)
+                        self.assert_agree(g, moved, tol)
+                        seen.add((code, check_axiom(code, g, moved, tol).passed))
+        codes = ("R1", "R2", "R3", "R4", "R5")
+        assert seen == {(code, ok) for code in codes for ok in (True, False)}
+
+    @pytest.mark.parametrize("seed, passes", [(2, False), (3, True)])
+    def test_float_table_of_an_exact_game_takes_the_pair_scan(self, seed, passes):
+        # Under Tolerance.exact(), a float table is compared exactly but its
+        # sums round: the potential rebuilt from it gives the opposite
+        # verdict to the pair scan here, so F5 must not use it.
+        g = random_monotone_game(2, seed, Fraction(1, 10))
+        matrix = solve(g).matrix
+        table = matrix.replace_entry(0, 0b11, float(matrix.rewards[0][0b11]))
+        tol = Tolerance.exact()
+        assert not _numbers(g, table, tol).exact
+        expected = reference.check_balanced_reciprocity(g, table, tol)
+        assert check_axiom("F5", g, table, tol) == expected
+        assert check_all(g, table, tol)["F5"] == expected
+        assert expected.passed is passes
+        rows = table.rewards
+        p = _potential(rows)
+        gradient = all(rows[i][c] == p[c] - p[c ^ 1 << i] for c in range(4) for i in members(c))
+        assert gradient is not passes
+
+
+def _gradient_table(game: Game, efficient_of) -> RewardMatrix:
+    """Members get P(C) − P(C∖i), for P(∅) = 0 and P(C) = v(C) + P(C∖k)
+    with k = efficient_of(C); non-members keep their solo value."""
+    n, v = game.n_players, game.values
+    p = [Fraction(0)] * game.num_coalitions
+    rows = [[v[1 << i]] * game.num_coalitions for i in range(n)]
+    for c in range(1, game.num_coalitions):
+        p[c] = v[c] + p[c ^ 1 << efficient_of(c)]
+        for i in members(c):
+            rows[i][c] = p[c] - p[c ^ 1 << i]
+    return RewardMatrix(n, tuple(map(tuple, rows)))
+
+
+def _subgame_shapley_table(game: Game) -> RewardMatrix:
+    """Members get their unscaled Shapley value in the subgame on C;
+    non-members keep their solo value."""
+    v = game.values
+    rows = [[v[1 << i]] * game.num_coalitions for i in range(game.n_players)]
+    for c in range(1, game.num_coalitions):
+        for i, phi in shapley(game, c).items():
+            rows[i][c] = phi
+    return RewardMatrix(game.n_players, tuple(map(tuple, rows)))
+
+
+class TestIndependence:
+    """R2, R3, R5 and F5 leave one table (README), and none of the four
+    follows from the other three: each table here passes three and fails
+    the fourth, on example1."""
+
+    @staticmethod
+    def failures(game, matrix):
+        results = (check_axiom(code, game, matrix) for code in ("R2", "R3", "R5", "F5"))
+        return {r.axiom: r.witness for r in results if not r.passed}
+
+    def test_a_non_argmin_efficient_player_breaks_feasibility(self, example1):
+        # the highest member gets v(C); in {2,3} the argmin is player 2 (index 1)
+        table = _gradient_table(example1, lambda c: c.bit_length() - 1)
+        assert self.failures(example1, table) == {
+            "R2": {"coalition": 0b110, "player": 1, "reward": 5, "coalition_value": 4}
+        }
+
+    def test_unscaled_subgame_shapley_breaks_weak_efficiency(self, example1):
+        assert self.failures(example1, _subgame_shapley_table(example1)) == {
+            "R3": {"coalition": 0b011, "coalition_value": 3, "member_rewards": {0: 1, 1: 2}}
+        }
+
+    def test_scaled_shapley_breaks_balanced_reciprocity(self, example1):
+        table = scaled_rho_shapley(example1, 1).matrix
+        assert self.failures(example1, table) == {
+            "F5": {
+                "coalition": 0b011,
+                "player_i": 0,
+                "player_j": 1,
+                "gain_i": Fraction(1, 2),
+                "gain_j": 1,
+            }
+        }
+
+    def test_a_moved_non_member_entry_breaks_non_participation(self, example1):
+        table = solve(example1).matrix.replace_entry(0, 0b110, 2)
+        assert self.failures(example1, table) == {
+            "R5": {"coalition": 0b110, "player": 0, "reward": 2, "solo_value": 1}
+        }
 
 
 _TOLERANCES = (
