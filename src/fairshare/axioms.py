@@ -5,13 +5,14 @@ ranges over and returns a verdict plus, on failure, a witness: the
 concrete players, coalitions, and values that violate the condition.
 Witnesses are plain dicts so they can be re-evaluated or serialized as-is.
 
-R1-R5 pass over the table a player column at a time. For each n a cache
-holds, per player i, the masks that contain i and the same masks without
-i; ``operator.itemgetter`` gathers a reward row, the values and the
-slacks at them, and C-level ``map``, ``count`` and ``compress`` compare
-whole columns. A cheap screen clears most entries, and the axiom's own
-comparison runs on the rest (see ``_least_failure``), so verdicts and
-witnesses are those of an entry-by-entry scan in every number mode.
+R1-R5 pass over the table a run at a time. The coalitions that contain
+player i are a few stride or block slices of a row (``_runs`` in
+``games.py``), and the same slices shifted down by 2^i hold them without
+i. C-level ``map``, ``count`` and ``compress`` compare whole slices of a
+reward row, the values and the potential. A cheap screen clears most
+entries, and the axiom's own comparison runs on the rest (see
+``_Numbers.least_failure``), so verdicts and witnesses are those of an
+entry-by-entry scan in every number mode.
 
 F5 on an exact table without slack reads the table's own potential:
 Π(∅) = 0 and Π(C) = Π(C∖l) + r_l(C) for C's lowest member l. F5 holds iff
@@ -36,13 +37,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, cycle, repeat
-from operator import add, eq, itemgetter, le, not_, sub, xor
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import compress, repeat
+from operator import add, eq, le, sub
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
-from .games import Game, Scalar, members, submasks
+from .games import Game, Scalar, _least_failure, _Run, _runs, members, submasks
 from .solver import RewardMatrix, _fill_down_set
 
 
@@ -154,62 +154,6 @@ class AxiomReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-class _Column(NamedTuple):
-    """One player's coalitions: ``with_i`` holds the masks that contain
-    player i, ascending, and ``take`` gathers a row, the values or the
-    slacks at them, as a tuple."""
-
-    bit: int
-    with_i: tuple[int, ...]
-    take: Callable[[Sequence], tuple]
-
-    def without_i(self) -> Iterator[int]:
-        """The same masks with i removed, in the same order."""
-        return map(xor, self.with_i, repeat(self.bit))
-
-    def take_without(self, seq: Sequence) -> tuple:
-        """``seq`` at ``without_i``: rotated by ``bit``, ``seq`` holds
-        ``seq[m ^ bit]`` at every m in ``with_i``, so no second index
-        tuple is kept."""
-        return self.take(seq[-self.bit :] + seq[: -self.bit])
-
-
-def _gather(masks: tuple[int, ...]) -> Callable[[Sequence], tuple]:
-    if len(masks) == 1:  # itemgetter of one index returns the item, not a tuple
-        (mask,) = masks
-        return lambda seq: (seq[mask],)
-    return itemgetter(*masks)
-
-
-def _build_columns(n: int) -> tuple[_Column, ...]:
-    """Every player's ``_Column`` for n players.
-
-    The tuples share the ints of one mask list, and ``itemgetter`` keeps
-    the tuple it is given, so at n=14 the columns take 1.4 MB (tracemalloc)
-    rather than one int object per entry.
-    """
-    masks = list(range(1 << n))
-    out = []
-    for i in range(n):
-        half = [False] * (1 << i)
-        with_i = tuple(compress(masks, cycle(half + [True] * len(half))))
-        out.append(_Column(1 << i, with_i, _gather(with_i)))
-    return tuple(out)
-
-
-# Up to n=10 the columns are built once per n and kept, under 0.1 MB each.
-# Larger ones are built per check. Kept, the n=12 and n=14 columns (1.8 MB)
-# raised the peak RSS of one cycle of perfbench's ``large``, which checks
-# those sizes in turn, from 76.8 to 79.4-80.1 MB on two seeds; building them
-# costs 0.8 and 4.3 ms, about 5% of a check.
-_KEPT_COLUMNS_MAX_PLAYERS = 10
-_kept_columns = lru_cache(maxsize=None)(_build_columns)
-
-
-def _columns(n: int) -> tuple[_Column, ...]:
-    return _kept_columns(n) if n <= _KEPT_COLUMNS_MAX_PLAYERS else _build_columns(n)
-
-
 class _Numbers(NamedTuple):
     """Game values and reward rows as every single-table checker compares them.
 
@@ -218,21 +162,35 @@ class _Numbers(NamedTuple):
     ``a - b <= eps[C]``, strictly greater means ``a - b > eps[C]``. When
     ``denominator`` is set, the numbers are the game's and the table's
     stored ints over that shared denominator, and eps is 0; otherwise they
-    are the entries themselves. ``exact`` says that every slack is 0 and
-    game and table are both exact, so sums of entries are exact too.
-    ``columns`` holds each player's ``_Column``.
+    are the entries themselves. ``no_slack`` says that every slack is 0;
+    ``exact`` says that, and that game and table are both exact, so sums of
+    entries are exact too. ``runs`` holds every player's ``_Run``.
     """
 
     values: Sequence
     rows: Sequence[Sequence]
     eps: Sequence[Scalar]
     denominator: int | None
+    no_slack: bool
     exact: bool
-    columns: tuple[_Column, ...]
+    runs: tuple[_Run, ...]
 
     def unscale(self, x):
         """A compared number as the entry it came from (for witnesses)."""
         return x if self.denominator is None else Fraction(x, self.denominator)
+
+    def least_failure(self, screens, holds) -> tuple[int, int] | None:
+        """``_least_failure`` of an axiom's screens and its own comparison.
+
+        A screen compares with slack 0 and without the subtraction, such as
+        ``0 <= r`` for ``0 - r <= eps[C]``. Game values are finite and
+        slacks nonnegative, so ``a <= b`` gives ``a - b <= 0 <= eps[C]``, in
+        rounded arithmetic too, and a NaN fails the screen and meets the
+        comparison. When every slack is 0 the screen's exact comparison is
+        the verdict, and ``holds`` does not run: between a float and a
+        ``Fraction`` it would subtract in floats.
+        """
+        return _least_failure(screens, None if self.no_slack else holds)
 
 
 def _numbers(game: Game, matrix: RewardMatrix, tol: Tolerance | None) -> _Numbers:
@@ -248,39 +206,13 @@ def _numbers(game: Game, matrix: RewardMatrix, tol: Tolerance | None) -> _Number
             f"matrix has {matrix.n_players} players, game has {game.n_players}"
         )
     eps = _slacks(tol, game.values, game, matrix)
-    exact = not any(eps) and game.exact and matrix.exact
-    columns = _columns(game.n_players)
+    no_slack = not any(eps)
+    exact = no_slack and game.exact and matrix.exact
+    runs = _runs(game.n_players)
     d = game._denominator
     if d is not None and d == matrix._denominator and exact:
-        return _Numbers(game._numerators, matrix._numerators, eps, d, exact, columns)
-    return _Numbers(game.values, matrix.rewards, eps, None, exact, columns)
-
-
-def _least_failure(columns, holds=None) -> tuple[int, int] | None:
-    """The least (mask, player) where a player's condition fails, or None.
-
-    ``columns`` yields (i, masks, cleared), one or two columns per player.
-    ``cleared`` says mask by mask whether a screen, one C-level comparison
-    per entry, has shown that the condition holds there. ``holds(i, mask)``
-    is the axiom's own comparison. It runs only on the masks the screen
-    left, ascending, up to the column's first failure; without ``holds``
-    the screen is the whole condition. The least failure over all columns
-    is the one a scan in ascending mask and then player order meets first.
-
-    A screen compares with slack 0 and without the subtraction, such as
-    ``0 <= r`` for ``0 - r <= eps[C]``. Game values are finite and slacks
-    nonnegative, so ``a <= b`` gives ``a - b <= 0 <= eps[C]``, in rounded
-    arithmetic too, and a NaN fails the screen and meets the comparison.
-    So every verdict and witness is the comparison's. In exact mode the
-    screen is the comparison, and ``holds`` runs only where it fails.
-    """
-    found = []
-    for i, masks, cleared in columns:
-        for mask in compress(masks, map(not_, cleared)):
-            if holds is None or not holds(i, mask):
-                found.append((mask, i))
-                break
-    return min(found, default=None)
+        return _Numbers(game._numerators, matrix._numerators, eps, d, no_slack, exact, runs)
+    return _Numbers(game.values, matrix.rewards, eps, None, no_slack, exact, runs)
 
 
 def _entry_verdict(code: str, nums: _Numbers, bad, compared=None) -> CheckResult:
@@ -303,11 +235,8 @@ _SOLO_VALUE = ("solo_value", lambda mask, i: 1 << i)
 def _nonnegativity(nums: _Numbers) -> CheckResult:
     """R1: every member's reward is nonnegative."""
     rows, eps = nums.rows, nums.eps
-    bad = _least_failure(
-        (
-            (i, col.with_i, map(le, repeat(0), col.take(row)))
-            for i, (row, col) in enumerate(zip(rows, nums.columns))
-        ),
+    bad = nums.least_failure(
+        ((run.i, run.masks, map(le, repeat(0), rows[run.i][run.with_i])) for run in nums.runs),
         lambda i, mask: 0 - rows[i][mask] <= eps[mask],
     )
     return _entry_verdict("R1", nums, bad)
@@ -316,10 +245,10 @@ def _nonnegativity(nums: _Numbers) -> CheckResult:
 def _feasibility(nums: _Numbers) -> CheckResult:
     """R2: no member's reward exceeds the coalition's value."""
     rows, values, eps = nums.rows, nums.values, nums.eps
-    bad = _least_failure(
+    bad = nums.least_failure(
         (
-            (i, col.with_i, map(le, col.take(row), col.take(values)))
-            for i, (row, col) in enumerate(zip(rows, nums.columns))
+            (run.i, run.masks, map(le, rows[run.i][run.with_i], values[run.with_i]))
+            for run in nums.runs
         ),
         lambda i, mask: rows[i][mask] - values[mask] <= eps[mask],
     )
@@ -330,20 +259,21 @@ def _weak_efficiency(nums: _Numbers) -> CheckResult:
     """R3: in every non-empty coalition some member gets the full value.
 
     A member whose reward equals v(C) covers C. Only the coalitions that
-    no member covers that way take the comparison within slack, ascending.
+    no member covers that way take the comparison within slack, ascending;
+    without slack the least of them fails.
     """
     rows, values, eps = nums.rows, nums.values, nums.eps
     # one byte per mask: a set of them, freed after every check, raised the
     # peak RSS of perfbench's ``large`` from 76.8 to 80.6 MB on one seed
     covered = bytearray(len(values))
-    for row, col in zip(rows, nums.columns):
-        for mask in compress(col.with_i, map(eq, col.take(row), col.take(values))):
+    for run in nums.runs:
+        for mask in compress(run.masks, map(eq, rows[run.i][run.with_i], values[run.with_i])):
             covered[mask] = 1
     mask = 0
     while (mask := covered.find(0, mask + 1)) != -1:
         v_c, e = values[mask], eps[mask]
         mem = members(mask)
-        if not any(abs(rows[i][mask] - v_c) <= e for i in mem):
+        if nums.no_slack or not any(abs(rows[i][mask] - v_c) <= e for i in mem):
             return CheckResult(
                 "R3",
                 Verdict.FAIL,
@@ -356,7 +286,7 @@ def _weak_efficiency(nums: _Numbers) -> CheckResult:
     return CheckResult("R3", Verdict.PASS)
 
 
-def _solo_screen(compare, v_i, others: tuple) -> Iterable[bool]:
+def _solo_screen(compare, v_i, others: Sequence) -> Iterable[bool]:
     """The screen for a player's non-member entries, which all hold the
     solo value ``v_i`` in a balanced table: nothing is left to compare when
     they all equal it, else ``compare(v_i, r)`` entry by entry."""
@@ -369,14 +299,14 @@ def _individual_rationality(nums: _Numbers) -> CheckResult:
     """R4: nobody, member or not, is ever rewarded below their solo value."""
     rows, values, eps = nums.rows, nums.values, nums.eps
 
-    def columns():
-        for i, (row, col) in enumerate(zip(rows, nums.columns)):
-            v_i = values[1 << i]
-            yield i, col.with_i, map(le, repeat(v_i), col.take(row))
-            yield i, col.without_i(), _solo_screen(le, v_i, col.take_without(row))
+    def screens():
+        for run in nums.runs:
+            row, v_i = rows[run.i], values[1 << run.i]
+            yield run.i, run.masks, map(le, repeat(v_i), row[run.with_i])
+            yield run.i, run.masks_without, _solo_screen(le, v_i, row[run.without_i])
 
-    bad = _least_failure(
-        columns(), lambda i, mask: values[1 << i] - rows[i][mask] <= eps[mask | 1 << i]
+    bad = nums.least_failure(
+        screens(), lambda i, mask: values[1 << i] - rows[i][mask] <= eps[mask | 1 << i]
     )
     return _entry_verdict("R4", nums, bad, _SOLO_VALUE)
 
@@ -384,10 +314,14 @@ def _individual_rationality(nums: _Numbers) -> CheckResult:
 def _nonparticipation(nums: _Numbers) -> CheckResult:
     """R5: non-members keep exactly their solo value."""
     rows, values, eps = nums.rows, nums.values, nums.eps
-    bad = _least_failure(
+    bad = nums.least_failure(
         (
-            (i, col.without_i(), _solo_screen(eq, values[1 << i], col.take_without(row)))
-            for i, (row, col) in enumerate(zip(rows, nums.columns))
+            (
+                run.i,
+                run.masks_without,
+                _solo_screen(eq, values[1 << run.i], rows[run.i][run.without_i]),
+            )
+            for run in nums.runs
         ),
         lambda i, mask: abs(rows[i][mask] - values[1 << i]) <= eps[mask | 1 << i],
     )
@@ -608,8 +542,12 @@ def _balanced_reciprocity(nums: _Numbers) -> CheckResult:
     if nums.exact:
         p = _potential(rows)
         bad = _least_failure(
-            (i, col.with_i, map(eq, col.take(row), map(sub, col.take(p), col.take_without(p))))
-            for i, (row, col) in enumerate(zip(rows, nums.columns))
+            (
+                run.i,
+                run.masks,
+                map(eq, rows[run.i][run.with_i], map(sub, p[run.with_i], p[run.without_i])),
+            )
+            for run in nums.runs
         )
         scan = () if bad is None else (bad[0],)
     bits = [1 << i for i in range(len(rows))]

@@ -581,7 +581,10 @@ def parse_matrix(text: str) -> MatrixDocument:
         runs = ((per_player, key, per_player.values()) for key, per_player in rewards.items())
         read = lambda raw: _read_json_number(raw, mode)
     else:
-        rows = list(filter(None, csv.reader(io.StringIO(text))))
+        try:
+            rows = list(filter(None, csv.reader(io.StringIO(text))))
+        except csv.Error as exc:
+            raise FileFormatError(f"bad CSV: {exc}") from None
         if not rows:
             raise FileFormatError("empty reward table file")
         header, body = rows[0], rows[1:]

@@ -15,8 +15,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache
+from itertools import compress
+from operator import attrgetter, le, not_
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadLengthError,
@@ -135,21 +137,74 @@ def _over_common_denominator(seqs: Sequence[Sequence]) -> tuple[Sequence, int | 
     return tuple(tuple([p * factor[q] for p, q in map(ratio, seq)]) for seq in seqs), d
 
 
+class _Run(NamedTuple):
+    """A stretch of player ``i``'s coalitions in a dense table: ``masks``,
+    ascending and all containing i, sit at ``with_i``, and the same masks
+    less 2^i, ``masks_without``, sit at ``without_i``."""
+
+    i: int
+    with_i: slice
+    without_i: slice
+    masks: range
+    masks_without: range
+
+
+@lru_cache(maxsize=None)
+def _runs(n_players: int) -> tuple[_Run, ...]:
+    """Every player's coalitions, as the fewest stride or block slices.
+
+    With b = 2^i, the masks that contain i are k + b + t for t < b in each
+    block of 2b starting at k: b strides of step 2b, or one block of width
+    b per 2b, whichever are fewer. So a player has at most 2^⌊(n−1)/2⌋
+    runs, 254 in all at n=14, and the same slices less b hold the masks
+    without i.
+    """
+    size = 1 << n_players
+    out = []
+    for i in range(n_players):
+        b = 1 << i
+        if b < size // (2 * b):
+            cuts = [(b + t, size, 2 * b) for t in range(b)]
+        else:
+            cuts = [(k + b, k + 2 * b, 1) for k in range(0, size, 2 * b)]
+        for cut in cuts:
+            down = (cut[0] - b, cut[1] - b, cut[2])
+            out.append(_Run(i, slice(*cut), slice(*down), range(*cut), range(*down)))
+    return tuple(out)
+
+
+def _least_failure(screens, holds=None) -> tuple[int, int] | None:
+    """The least (mask, player) where a player's condition fails, or None.
+
+    ``screens`` yields (i, masks, cleared), one or more runs per player.
+    ``cleared`` says mask by mask whether a screen, one C-level comparison
+    per entry, has shown that the condition holds there. ``holds(i, mask)``
+    is the condition itself. It runs only on the masks the screen left,
+    ascending, up to the run's first failure; without ``holds`` the screen
+    is the whole condition. The least failure over all runs is the one a
+    scan in ascending mask and then player order meets first.
+    """
+    found = []
+    for i, masks, cleared in screens:
+        for mask in compress(masks, map(not_, cleared)):
+            if holds is None or not holds(i, mask):
+                found.append((mask, i))
+                break
+    return min(found, default=None)
+
+
 def first_monotonicity_violation(values: Sequence[Scalar]) -> tuple[int, int] | None:
     """First (subset, superset) pair where dropping a player raises the value.
 
-    Scans coalitions in ascending mask order and players in ascending index
-    order. Checking only single-player removals suffices: any violating
-    subset chain contains a violating single step.
+    The least superset mask, then the least dropped player. Checking only
+    single-player removals suffices: any violating subset chain contains a
+    violating single step.
     """
-    for mask in range(len(values)):
-        sub = mask
-        while sub:
-            low = sub & -sub
-            if values[mask ^ low] > values[mask]:
-                return (mask ^ low, mask)
-            sub ^= low
-    return None
+    bad = _least_failure(
+        (run.i, run.masks, map(le, values[run.without_i], values[run.with_i]))
+        for run in _runs(len(values).bit_length() - 1)
+    )
+    return None if bad is None else (bad[0] ^ 1 << bad[1], bad[0])
 
 
 def is_monotone(values: Sequence) -> bool:

@@ -307,6 +307,13 @@ class TestCheck:
         assert result.exit_code == 1
         assert result.stderr == "error: reward table has no player rows\n"
 
+    def test_csv_the_csv_module_rejects_exits_1(self, runner, c3_path, tmp_path):
+        mpath = tmp_path / "huge.csv"
+        mpath.write_text("player,coalition,reward\n1,," + "1" * 200_000 + "\n")
+        result = runner.invoke(main, ["check", str(c3_path), "--matrix", str(mpath)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: bad CSV: field larger than field limit (131072)\n"
+
     def test_bad_cell_exits_1_naming_player_and_coalition(self, runner, c3_path, tmp_path):
         mpath = tmp_path / "bad.csv"
         result = runner.invoke(main, ["solve", str(c3_path), "-o", str(mpath)])

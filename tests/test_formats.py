@@ -288,6 +288,11 @@ class TestMatrixParseErrors:
         with pytest.raises(FileFormatError, match="bad number"):
             parse_matrix(text)
 
+    def test_csv_the_csv_module_rejects(self):
+        text = "player,coalition,reward\na,," + "1" * 200_000 + "\n"
+        with pytest.raises(FileFormatError, match="^bad CSV: field larger than field limit"):
+            parse_matrix(text)
+
     def test_wide_csv_needs_player_header(self):
         with pytest.raises(FileFormatError, match='"player" header'):
             parse_matrix("who,,a\na,1,2\n")

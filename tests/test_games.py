@@ -159,6 +159,28 @@ def _big_denominator_values(n, rng):
     return values
 
 
+class TestRuns:
+    """Each player's coalitions as row slices, which the axiom checkers and
+    the monotonicity scan read."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_runs_cover_each_players_coalitions_once(self, n):
+        table = list(range(1 << n))
+        for i in range(n):
+            bit = 1 << i
+            runs = [run for run in games._runs(n) if run.i == i]
+            assert len(runs) <= 2 ** ((n - 1) // 2)
+            seen = []
+            for run in runs:
+                masks = table[run.with_i]
+                assert masks == list(run.masks) == sorted(set(masks))
+                assert table[run.without_i] == list(run.masks_without)
+                assert list(run.masks_without) == [m - bit for m in masks]
+                seen += masks
+            assert sorted(seen) == [m for m in table if m & bit]
+            assert len(seen) == len(set(seen))
+
+
 class TestIntegerValidation:
     """Game checks exact values as ints over their common denominator, with
     the errors and witnesses of the Fraction scan in tests/reference.py."""
@@ -170,7 +192,7 @@ class TestIntegerValidation:
         for module in (axioms, baselines, formats, oracle):
             assert not hasattr(module, "_over_common_denominator"), module
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_tampered_exact_games(self, n):
         rng = random.Random(n)
         for seed in range(20):
@@ -189,7 +211,7 @@ class TestIntegerValidation:
             assert expected is not None
             assert _raised(lambda v: Game(8, v), bad) == expected
 
-    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("n", [2, 5, *range(8, 13)])
     def test_float_games(self, n):
         rng = random.Random(100 + n)
         for seed in range(10):
@@ -198,6 +220,20 @@ class TestIntegerValidation:
             expected = _raised(check_game_values, bad)
             assert expected is not None
             assert _raised(lambda v: Game(n, v), bad) == expected
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_several_violations_report_the_least(self, n):
+        # two coalitions zeroed, so several (superset, player) pairs fail:
+        # the least superset mask wins, then the least player, whichever
+        # player's runs meet their failure first
+        rng = random.Random(200 + n)
+        for seed in range(5):
+            for scale in (Fraction(10, 3), 10.0 / 3):
+                values = list(random_monotone_game(n, seed, scale).values)
+                for mask in rng.sample(range(1, len(values)), 2):
+                    values[mask] *= 0
+                expected = _raised(check_game_values, values)
+                assert _raised(lambda v: Game(n, v), values) == expected
 
 
 class TestRandomMonotone:
