@@ -11,7 +11,8 @@ comparison report quantifies exactly that failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -109,13 +110,18 @@ class RhoShapleyMatrix:
     rho: Scalar
 
 
+# A scaled table in exact mode, before any Fraction is made: per coalition
+# C, the members' entries as integer numerators ``nums[i][C]`` over the
+# shared denominator ``dens[C]``.
+_Columns = tuple[list[list[int]], list[int]]
+
+
 def _scaled_table(
     game: Game, rho: Scalar | int, potential: tuple[dict[int, int | float], int | None]
-) -> tuple[RewardMatrix, list[list[int]] | None, list[int] | None]:
-    """The scaled-Shapley table; in exact mode also, per coalition, the
-    members' entries as integer numerators over one shared denominator.
-    ``potential`` is ``_potential`` of the game's values on the grand
-    coalition.
+) -> RewardMatrix | _Columns:
+    """The scaled-Shapley table: as integer columns (``nums``, ``dens``) in
+    exact mode, as a float ``RewardMatrix`` otherwise. ``potential`` is
+    ``_potential`` of the game's values on the grand coalition.
 
     With ``Φ_i = φ_i·n!·d`` from the integer potential and ``v(C) = p/q``,
     member i's exact share is ``Φ_i·p / (Φ_max·q)``, so ``Φ_max·q`` is the
@@ -128,12 +134,10 @@ def _scaled_table(
     n = game.n_players
     values = game.values
     if exact:
-        base = [values[1 << i] for i in range(n)]
+        nums = [[0] * (1 << n) for _ in range(n)]
+        dens = [1] * (1 << n)
     else:
-        base = [float(values[1 << i]) for i in range(n)]
-    rows: list[list[Scalar]] = [[base[i]] * (1 << n) for i in range(n)]
-    nums = [[0] * (1 << n) for _ in range(n)] if exact else None
-    dens = [1] * (1 << n) if exact else None
+        rows = [[float(values[1 << i])] * (1 << n) for i in range(n)]
     power = float(rho)
 
     q, scale = potential
@@ -146,16 +150,17 @@ def _scaled_table(
                 raise ZeroMaxShapleyError(
                     f"coalition mask {mask} has value {v_c} but all-zero Shapley values"
                 )
-            # worthless coalition: every member's share is zero
-            for i in phi:
-                rows[i][mask] = v_c if exact else 0.0
+            # worthless coalition: every member's share is zero, as the
+            # exact columns' 0 over 1 already says
+            if not exact:
+                for i in phi:
+                    rows[i][mask] = 0.0
             continue
         if exact:
             p = v_c.numerator
-            den = dens[mask] = phi_max * v_c.denominator
+            dens[mask] = phi_max * v_c.denominator
             for i, phi_i in phi.items():
-                num = nums[i][mask] = phi_i * p
-                rows[i][mask] = Fraction(num, den)
+                nums[i][mask] = phi_i * p
             continue
         if scale is not None:
             phi = {i: phi_i / scale for i, phi_i in phi.items()}
@@ -166,7 +171,24 @@ def _scaled_table(
                 rows[i][mask] = phi_i / phi_max * v_f
             else:
                 rows[i][mask] = (phi_i / phi_max) ** power * v_f
-    return RewardMatrix(n, tuple(tuple(row) for row in rows)), nums, dens
+    if exact:
+        return nums, dens
+    return RewardMatrix(n, tuple(map(tuple, rows)))
+
+
+def _scaled_matrix(game: Game, table: RewardMatrix | _Columns) -> RewardMatrix:
+    """A table from ``_scaled_table`` as a ``RewardMatrix``: exact columns
+    become Fractions, and non-members keep their solo value."""
+    if isinstance(table, RewardMatrix):
+        return table
+    nums, dens = table
+    n = game.n_players
+    rows = [[game.values[1 << i]] * (1 << n) for i in range(n)]
+    for mask in range(1, 1 << n):
+        den = dens[mask]
+        for i in members(mask):
+            rows[i][mask] = Fraction(nums[i][mask], den)
+    return RewardMatrix(n, tuple(map(tuple, rows)))
 
 
 def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
@@ -178,7 +200,7 @@ def scaled_rho_shapley(game: Game, rho: Scalar | int) -> RhoShapleyMatrix:
     irrational in general).
     """
     potential = _potential(game.values, game.grand_coalition)
-    return RhoShapleyMatrix(_scaled_table(game, rho, potential)[0], rho)
+    return RhoShapleyMatrix(_scaled_matrix(game, _scaled_table(game, rho, potential)), rho)
 
 
 class PairResidual(NamedTuple):
@@ -216,16 +238,33 @@ class ComparisonReport:
     ``unbalanced`` counts the (coalition, pair) triples whose reciprocity
     residual exceeds the checkers' default slack: 0 when the table is exact
     (rho == 1 on an exact game), ``8·n·2⁻⁵²·v(C)`` for coalition C
-    otherwise. ``residuals`` lists every triple's residual, built on read.
+    otherwise. The tables behind the figures are built on first read and
+    then kept: ``scaled``, the scaled Shapley table; ``entry_diffs``, scaled
+    minus balanced entry by entry; and ``residuals``, every triple's
+    residual. Reports of the same game and rho are equal.
     """
 
     rho: Scalar
-    scaled: RewardMatrix
     max_residual: Scalar
     max_residual_witness: tuple[int, int, int] | None
     unbalanced: int
     max_abs_diff: Scalar
-    entry_diffs: tuple[tuple[Scalar, ...], ...]  # scaled minus balanced, per entry
+    _game: Game = field(repr=False)
+    # the balanced table (float when the scaled one is), and the scaled one
+    # as ``_scaled_table`` gives it: both follow from the game and rho
+    _balanced: RewardMatrix = field(repr=False, compare=False)
+    _scaled: RewardMatrix | _Columns = field(repr=False, compare=False)
+
+    @cached_property
+    def scaled(self) -> RewardMatrix:
+        return _scaled_matrix(self._game, self._scaled)
+
+    @cached_property
+    def entry_diffs(self) -> tuple[tuple[Scalar, ...], ...]:
+        return tuple(
+            tuple(map(operator.sub, s_row, b_row))
+            for s_row, b_row in zip(self.scaled.rewards, self._balanced.rewards)
+        )
 
     @cached_property
     def residuals(self) -> tuple[PairResidual, ...]:
@@ -238,24 +277,25 @@ def compare_mechanisms(game: Game, rho: Scalar | int) -> ComparisonReport:
     One pass over every coalition and member pair, in ascending mask order
     and then i < j, finds the largest reciprocity residual of the scaled
     table, its first witnessing (coalition, i, j), and how many residuals
-    lie above the threshold. Exact residuals are compared as integers over
-    each coalition's shared denominator. The report also holds the
-    entrywise difference against ``solve``; when rho forces float mode the
-    balanced matrix is converted to float before differencing.
+    lie above the threshold. A second pass over the members of every
+    coalition finds the largest entrywise difference against ``solve``.
+    Exact tables are compared as integers over each coalition's shared
+    denominator. When rho forces float mode the balanced matrix is
+    converted to float first.
     """
     potential = _potential(game.values, game.grand_coalition)
-    scaled, nums, dens = _scaled_table(game, rho, potential)
-    rows = scaled._numerators  # read only in float mode, where they are the floats
+    table = _scaled_table(game, rho, potential)
     n = game.n_players
     balanced = solve(game).matrix
-    if not scaled.exact and balanced.exact:
+    if isinstance(table, RewardMatrix) and balanced.exact:
         balanced = balanced.as_float()
 
     witness: tuple[int, int, int] | None = None
     unbalanced = 0
-    if nums is None:
+    if isinstance(table, RewardMatrix):
+        rows = table._numerators  # the floats
         max_residual: Scalar = 0.0
-        eps = _slacks(None, game.values, game, scaled)
+        eps = _slacks(None, game.values, game, table)
         for mask in range(3, 1 << n):
             mem = members(mask)
             for a, i in enumerate(mem):
@@ -271,6 +311,7 @@ def compare_mechanisms(game: Game, rho: Scalar | int) -> ComparisonReport:
                         max_residual = residual
                         witness = (mask, i, j)
     else:
+        nums, dens = table
         # The residual of (C, i, j) is |x| / (D_C·D_{C∖i}·D_{C∖j}), with D
         # each column's shared denominator.
         best_num, best_den = 0, 1
@@ -299,34 +340,35 @@ def compare_mechanisms(game: Game, rho: Scalar | int) -> ComparisonReport:
 
     # Both tables hold the solo value at every non-member entry and in
     # coalitions of one, so only members of larger coalitions differ.
-    brows, b_den = balanced._numerators, balanced._denominator
-    diffs = [[0.0 if nums is None else Fraction(0)] * (1 << n) for _ in range(n)]
-    top_num, top_den = 0, 1
-    for mask in range(3, 1 << n):
-        if not mask & (mask - 1):
-            continue
-        if nums is None:
-            for i in members(mask):
-                diffs[i][mask] = rows[i][mask] - brows[i][mask]
-            continue
-        d_c = dens[mask]
-        for i in members(mask):
-            b, q = (brows[i][mask], b_den) if b_den else brows[i][mask].as_integer_ratio()
-            x = nums[i][mask] * q - b * d_c
-            den = d_c * q
-            diffs[i][mask] = Fraction(x, den)
-            if abs(x) * top_den > top_num * den:
-                top_num, top_den = abs(x), den
-    if nums is None:
-        max_abs_diff: Scalar = max(max(map(abs, row)) for row in diffs)
+    larger = [mask for mask in range(3, 1 << n) if mask & (mask - 1)]
+    b_den = balanced._denominator
+    if isinstance(table, RewardMatrix) or b_den is None:
+        # float tables, or a balanced table past the denominator cap
+        table = _scaled_matrix(game, table)
+        s_rows, b_rows = table.rewards, balanced.rewards
+        max_abs_diff = max(
+            (abs(s_rows[i][m] - b_rows[i][m]) for m in larger for i in members(m)),
+            default=Fraction(0) if table.exact else 0.0,
+        )
     else:
-        max_abs_diff = Fraction(top_num, top_den)
+        # Member i of C sits at nums[i][C] / dens[C] against brows[i][C] /
+        # b_den: one denominator per coalition, so compare numerators there
+        # and cross-multiply only between coalitions.
+        brows = balanced._numerators
+        top_num, top_den = 0, 1
+        for mask in larger:
+            d_c = dens[mask]
+            x = max(abs(nums[i][mask] * b_den - brows[i][mask] * d_c) for i in members(mask))
+            if x * top_den > top_num * d_c:
+                top_num, top_den = x, d_c
+        max_abs_diff = Fraction(top_num, top_den * b_den)
     return ComparisonReport(
         rho=rho,
-        scaled=scaled,
         max_residual=max_residual,
         max_residual_witness=witness,
         unbalanced=unbalanced,
         max_abs_diff=max_abs_diff,
-        entry_diffs=tuple(map(tuple, diffs)),
+        _game=game,
+        _balanced=balanced,
+        _scaled=table,
     )

@@ -19,7 +19,13 @@ from pathlib import Path
 import click
 
 from .axioms import AXIOM_NAMES, Tolerance, Verdict, check_all
-from .baselines import _potential, _scaled_table, _shapley_values, compare_mechanisms
+from .baselines import (
+    _potential,
+    _scaled_matrix,
+    _scaled_table,
+    _shapley_values,
+    compare_mechanisms,
+)
 from .errors import FairshareError, FileFormatError, SizeLimitExceededError
 from .formats import (
     FLOAT,
@@ -184,7 +190,7 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
     # every input error surfaces before the listing is printed
     rendered = None
     if rho_text is not None:
-        matrix = _scaled_table(game, parse_rho(rho_text), potential)[0]
+        matrix = _scaled_matrix(game, _scaled_table(game, parse_rho(rho_text), potential))
         mode = FLOAT if not matrix.exact else doc.number_mode
         rendered = serialize_matrix(MatrixDocument(matrix, doc.labels, mode, None), form)
     elif emit_path is not None:

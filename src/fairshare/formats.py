@@ -139,7 +139,14 @@ def _check_labels(players) -> tuple[str, ...]:
 
 
 class _KeyMasks(dict):
-    """Coalition key -> mask over ``labels``, each key parsed on first use."""
+    """Coalition key -> mask over ``labels``, each key parsed on first use.
+
+    A key whose spelling less its last label is already known costs one
+    lookup; files list coalitions by size, so that is nearly every key.
+    The dict keeps the caller's key strings: seeding it with the canonical
+    keys instead would hold a second copy of each while the parsed
+    document holds its own (1.1 MB at n=14).
+    """
 
     def __init__(self, labels: tuple[str, ...]):
         super().__init__({"": 0})
@@ -147,6 +154,13 @@ class _KeyMasks(dict):
         self.bit_of = {lab: 1 << i for i, lab in enumerate(labels)}
 
     def __missing__(self, key: str) -> int:
+        head, comma, last = key.rpartition(",")
+        mask = self.get(head) if head else (None if comma else 0)
+        bit = self.bit_of.get(last, 0)
+        if mask is not None and bit and not mask & bit:
+            mask |= bit
+            self[key] = mask
+            return mask
         parts = key.split(",")
         try:
             mask = sum(map(self.bit_of.__getitem__, parts))

@@ -280,8 +280,28 @@ def test_wide_denominator_passes_256_bits():
     assert d.bit_length() > 256
 
 
-def test_residuals_are_built_on_first_read():
-    report = compare_mechanisms(random_monotone_game(6, 2), 1)
-    assert "residuals" not in vars(report)
+@pytest.mark.parametrize("rho", [1, RHO_IRRATIONAL])
+def test_tables_are_built_on_first_read(rho):
+    game = random_monotone_game(6, 2)
+    report = compare_mechanisms(game, rho)
+    for name in ("scaled", "entry_diffs", "residuals"):
+        assert name not in vars(report), name
+    want = eager_compare_mechanisms(game, rho)
+    assert _same(report.entry_diffs, want.entry_diffs)
+    assert _same(report.scaled, potential_scaled_rho_shapley(game, rho))
     assert len(report.residuals) == math.comb(6, 2) * 2 ** (6 - 2)
-    assert report.residuals is report.residuals
+    for name in ("scaled", "entry_diffs", "residuals"):
+        assert getattr(report, name) is getattr(report, name), name
+
+
+@pytest.mark.parametrize("rho", [1, RHO_IRRATIONAL])
+def test_reports_of_one_game_are_equal_and_hashable(rho):
+    game = random_monotone_game(5, 1)
+    first, second = compare_mechanisms(game, rho), compare_mechanisms(game, rho)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    # reading a lazy table changes neither
+    first.entry_diffs
+    assert first == second and hash(first) == hash(second)
+    assert first != compare_mechanisms(random_monotone_game(5, 2), rho)

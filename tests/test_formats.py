@@ -30,7 +30,9 @@ from fairshare import (
     serialize_matrix,
     solve,
 )
+from fairshare.formats import _KeyMasks
 from reference import (
+    _parse_coalition_key,
     column,
     dumps_game,
     dumps_matrix,
@@ -88,6 +90,17 @@ class TestGameParsing:
         # player "z" is bit 0 because it is listed first
         assert doc.game.value(0b01) == 1
         assert doc.game.value(0b10) == 2
+
+    def test_any_spelling_of_a_key_names_its_coalition(self):
+        # canonical keys (sorted labels) and reversed ones, mixed in one file;
+        # v(C) = C's mask is monotone, since a superset's mask is larger
+        labels = ("z", "y", "x10", "x9")
+        values = {}
+        for m in range(16):
+            parts = coalition_key(labels, m).split(",")
+            values[",".join(parts[::-1] if m % 3 else parts)] = m
+        doc = parse_game(game_text(values, players=list(labels)))
+        assert doc.game.values == tuple(map(Fraction, range(16)))
 
 
 class TestGameParseErrors:
@@ -787,6 +800,25 @@ class TestReaderMatchesFormerReaders:
         cells, mode, *_ = CELL_FAULTS[fault]
         text = _cells_text(shape, cells, mode)
         assert _outcome(parse_matrix, text) == _outcome(parse_matrix_by_shape, text)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coalition_keys_in_any_order(self, seed):
+        # one key map serves every lookup, so keys extend ones seen before,
+        # by a new, repeated, unknown or empty label
+        rng = random.Random(seed)
+        labels = ("1", "2", "10", "a", "x y")
+        mask_of = _KeyMasks(labels)
+        index_of = {lab: i for i, lab in enumerate(labels)}
+        pool = [*labels, "", "q"]
+        for _ in range(500):
+            key = ",".join(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+            try:
+                want = _parse_coalition_key(key, index_of)
+            except FileFormatError:
+                with pytest.raises(FileFormatError):
+                    mask_of[key]
+            else:
+                assert mask_of[key] == want, key
 
     @pytest.mark.parametrize("form", ["table", "long"])
     def test_one_float_token_makes_a_csv_table_float(self, form):
