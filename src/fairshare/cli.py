@@ -31,6 +31,8 @@ from .formats import (
     FLOAT,
     GameDocument,
     MatrixDocument,
+    _canonical_key_order,
+    _coalition_keys,
     _exact_ratio,
     align_matrix_labels,
     coalition_key,
@@ -97,10 +99,11 @@ def _render_witness(witness: dict, labels: tuple[str, ...]) -> str:
 
 
 def _echo_efficient_players(doc: GameDocument, efficient: dict[int, int]) -> None:
-    click.echo("efficient player per coalition:")
-    order = sorted(efficient, key=lambda m: (m.bit_count(), doc.key(m)))
-    for mask in order:
-        click.echo(f"  {_braced(doc.labels, mask)} -> {doc.labels[efficient[mask]]}")
+    keys = _coalition_keys(doc.labels)
+    chosen = list(filter(efficient.__contains__, _canonical_key_order(keys, range(len(keys)))))
+    names = map(doc.labels.__getitem__, map(efficient.__getitem__, chosen))
+    lines = map("  {%s} -> %s\n".__mod__, zip(map(keys.__getitem__, chosen), names))
+    click.echo("efficient player per coalition:\n" + "".join(lines), nl=False)
 
 
 def _parse_tolerance(text: str | None) -> Tolerance | None:

@@ -46,8 +46,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import groupby, islice, repeat
+from operator import itemgetter, not_
 
 from .errors import FileFormatError, NotMonotoneError
 from .games import _MAX_DENOMINATOR_BITS, Game, Scalar, _check_player_count, members
@@ -88,7 +88,9 @@ def _coalition_keys(labels: tuple[str, ...]) -> list[str]:
 
 
 def _canonical_key_order(keys: list[str], masks) -> list[int]:
-    return sorted(masks, key=lambda m: (m.bit_count(), keys[m]))
+    """``masks`` by coalition size, then by key: two stable sorts, each on
+    a C-level key."""
+    return sorted(sorted(masks, key=keys.__getitem__), key=int.bit_count)
 
 
 @dataclass(frozen=True)
@@ -340,9 +342,11 @@ def parse_game(text: str) -> GameDocument:
     return GameDocument(game, labels, mode)
 
 
-# The canonical JSON shapes are written directly, as json.dumps(indent=2)
-# writes them; json.dumps itself would run its pure-Python encoder over a
-# dict per coalition.
+# The writers build each document from C-level maps and one join: every
+# distinct entry of a row is rendered once, a JSON member and a long CSV
+# row are one "%" template filled per coalition, and a wide CSV row is one
+# join. No Python statement runs per cell, and the bytes are those of
+# json.dumps(indent=2) and csv.writer on the same document.
 _json_string = json.encoder.encode_basestring_ascii
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -357,34 +361,76 @@ def _json_number(x: Scalar) -> str:
     return repr(p) if q == 1 else f'"{p}/{q}"'
 
 
-def _json_block(brackets: str, lines, indent: str) -> str:
-    """A JSON object or array with one rendered member per line, nested at
-    ``indent``; an empty one stays on one line."""
-    body = (",\n  " + indent).join(lines)
-    if not body:
-        return brackets
-    return f"{brackets[0]}\n  {indent}{body}\n{indent}{brackets[1]}"
+def _ordered_texts(rows, d: int | None, order: list[int], quote: str):
+    """Each row's entry texts, a tuple in ``order`` (two masks or more):
+    "p/q" in lowest terms (inside ``quote``) or "p" for an exact number,
+    ``repr`` for a float (JSON's spelling for one that is not finite when
+    ``quote`` is set).
+
+    ``rows`` are stored entries, ints over ``d`` when ``d`` is set. Each
+    distinct entry of a row is rendered once and found by a dict lookup.
+    A NaN is found only by identity, which holds since the dict's keys are
+    the row's own objects. 0.0 and -0.0 are one key with two texts, so a
+    float row that holds both renders entry by entry.
+    """
+    in_order = itemgetter(*order)
+    for row in rows:
+        distinct = set(row)
+        if d is not None:
+            text = {}
+            for p in distinct:
+                g = math.gcd(p, d)
+                text[p] = str(p // d) if g == d else f"{quote}{p // g}/{d // g}{quote}"
+            lookup = text.__getitem__
+        else:
+            render = _json_number if quote else str
+            if (
+                type(row[0]) is float
+                and 0.0 in distinct
+                and len(set(map(math.copysign, repeat(1.0), filter(not_, row)))) > 1
+            ):
+                lookup = render
+            else:
+                lookup = dict(zip(distinct, map(render, distinct))).__getitem__
+        yield in_order(list(map(lookup, row)))
+
+
+def _json_object(parts: list[str], template: str, items) -> None:
+    """Append a JSON object nested one level deep, one member per item,
+    rendered by ``template`` (four spaces in, ",\n" at the end), as
+    json.dumps(indent=2) writes it; with no items, "{}"."""
+    start = len(parts)
+    parts += map(template.__mod__, items)
+    if len(parts) == start:
+        parts.append("{}")
+    else:
+        parts[start] = "{\n" + parts[start]
+        parts[-1] = parts[-1][:-2] + "\n  }"
 
 
 def _json_players(labels: tuple[str, ...]) -> str:
     """The "players" field: a count for the default labels, else the list."""
     if labels == default_labels(len(labels)):
         return f'"players": {len(labels)}'
-    return '"players": ' + _json_block("[]", map(_json_string, labels), "  ")
+    return '"players": [\n    ' + ",\n    ".join(map(_json_string, labels)) + "\n  ]"
 
 
 def serialize_game(doc: GameDocument) -> str:
     """Canonical, byte-stable JSON for a game document."""
     labels = doc.labels
-    values = doc.game.values
+    game = doc.game
     keys = _coalition_keys(labels)
-    fields = [_json_players(labels)]
+    order = _canonical_key_order(keys, range(game.num_coalitions))
+    parts = ["{\n  ", _json_players(labels), ",\n  "]
     if doc.number_mode == FLOAT:
-        fields.append(f'"number_mode": "{FLOAT}"')
-    order = _canonical_key_order(keys, range(1, len(values)))
-    lines = (f"{_json_string(keys[m])}: {_json_number(values[m])}" for m in order)
-    fields.append('"values": ' + _json_block("{}", lines, "  "))
-    return _json_block("{}", fields, "") + "\n"
+        parts.append(f'"number_mode": "{FLOAT}",\n  ')
+    parts.append('"values": ')
+    (texts,) = _ordered_texts((game._numerators,), game._denominator, order, '"')
+    json_keys = map(_json_string, map(keys.__getitem__, order))
+    # the empty coalition, first in the order, is left out
+    _json_object(parts, "    %s: %s,\n", islice(zip(json_keys, texts), 1, None))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def format_scalar(x: Scalar) -> str:
@@ -394,72 +440,66 @@ def format_scalar(x: Scalar) -> str:
     return str(x)
 
 
-def _reward_texts(matrix: RewardMatrix, quote: str) -> list[list[str]]:
-    """Every entry's text, row by row: "p/q" in lowest terms (inside
-    ``quote``) or "p" for an exact number, ``repr`` for a float (JSON's
-    spelling for one that is not finite when ``quote`` is set)."""
-    d = matrix._denominator
-    if d is None:
-        text = _json_number if quote else str
-        return [list(map(text, row)) for row in matrix._numerators]
-    out = []
-    for row in matrix._numerators:
-        # each distinct numerator is reduced once: non-members all hold one
-        text = {}
-        for p in set(row):
-            g = math.gcd(p, d)
-            text[p] = str(p // d) if g == d else f"{quote}{p // g}/{d // g}{quote}"
-        out.append(list(map(text.__getitem__, row)))
-    return out
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
 
 
 def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
     """Render a reward table as "table" or "long" CSV, or as JSON."""
     labels = doc.labels
     matrix = doc.matrix
-    if len(labels) != matrix.n_players:
+    n = len(labels)
+    if n != matrix.n_players:
         raise FileFormatError("label count does not match the matrix")
+    if form not in ("table", "long", "json"):
+        raise FileFormatError(f'unknown format {form!r}; expected table, long, or json')
     keys = _coalition_keys(labels)
     order = _canonical_key_order(keys, range(matrix.num_coalitions))
+    rows = _ordered_texts(
+        matrix._numerators, matrix._denominator, order, '"' if form == "json" else ""
+    )
 
     if form == "json":
         json_keys = list(map(_json_string, keys))
-        players = [_json_string(lab) + ": " for lab in labels]
-        # cells[mask] holds one '"label": number' line per player
-        rendered = (
-            [p + x for x in row] for p, row in zip(players, _reward_texts(matrix, '"'))
-        )
-        cells = list(zip(*rendered))
-        rewards = (f"{json_keys[m]}: {_json_block('{}', cells[m], '    ')}" for m in order)
-        fields = [
-            _json_players(labels),
-            f'"number_mode": "{RATIONAL if matrix.exact else FLOAT}"',
-            '"rewards": ' + _json_block("{}", rewards, "  "),
-        ]
+        players = (_json_string(lab).replace("%", "%%") + ": %s" for lab in labels)
+        template = "    %s: {\n      " + ",\n      ".join(players) + "\n    },\n"
+        mode = RATIONAL if matrix.exact else FLOAT
+        parts = ["{\n  ", _json_players(labels), f',\n  "number_mode": "{mode}",\n  "rewards": ']
+        _json_object(parts, template, zip(map(json_keys.__getitem__, order), *rows))
         efficient = doc.efficient_player
         if efficient is not None:
-            lines = (
-                f"{json_keys[m]}: {_json_string(labels[efficient[m]])}"
-                for m in _canonical_key_order(keys, efficient)
-            )
-            fields.append('"efficient_player": ' + _json_block("{}", lines, "  "))
-        return _json_block("{}", fields, "") + "\n"
+            parts.append(',\n  "efficient_player": ')
+            chosen = list(filter(efficient.__contains__, order))
+            names = map(_json_string, map(labels.__getitem__, map(efficient.__getitem__, chosen)))
+            _json_object(parts, "    %s: %s,\n", zip(map(json_keys.__getitem__, chosen), names))
+        parts.append("\n}\n")
+        return "".join(parts)
 
-    if form not in ("table", "long"):
-        raise FileFormatError(f'unknown format {form!r}; expected table, long, or json')
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    rows = _reward_texts(matrix, "")
+    # Canonical order puts the empty coalition first, then the n singletons,
+    # whose keys are labels; every larger key holds a comma, so csv.writer
+    # quotes it.
+    label_fields = list(map(_csv_field, labels))
+    larger = map(keys.__getitem__, order[n + 1 :])
+    if any('"' in lab for lab in labels):
+        larger = map(str.replace, larger, repeat('"'), repeat('""'))
+    key_fields = [
+        "",
+        *(label_fields[m.bit_length() - 1] for m in order[1 : n + 1]),
+        *map('"%s"'.__mod__, larger),
+    ]
     if form == "table":
-        writer.writerow(["player", *(keys[m] for m in order)])
-        for lab, row in zip(labels, rows):
-            writer.writerow([lab, *map(row.__getitem__, order)])
+        parts = ["player,", ",".join(key_fields), "\n"]
+        for field, texts in zip(label_fields, rows):
+            parts += (field, ",", ",".join(texts), "\n")
     else:
-        writer.writerow(["player", "coalition", "reward"])
-        ordered_keys = [keys[m] for m in order]
-        for lab, row in zip(labels, rows):
-            writer.writerows(zip(repeat(lab), ordered_keys, map(row.__getitem__, order)))
-    return buf.getvalue()
+        parts = ["player,coalition,reward\n"]
+        for field, texts in zip(label_fields, rows):
+            template = field.replace("%", "%%") + ",%s,%s\n"
+            parts.append("".join(map(template.__mod__, zip(key_fields, texts))))
+    return "".join(parts)
 
 
 def _read_csv_number(token: str) -> tuple[int, int] | float:

@@ -49,12 +49,10 @@ def _check_player_count(count: int) -> None:
 def members(coalition: int) -> list[int]:
     """Player indices contained in a coalition mask, ascending."""
     out = []
-    i = 0
     while coalition:
-        if coalition & 1:
-            out.append(i)
-        coalition >>= 1
-        i += 1
+        low = coalition & -coalition
+        out.append(low.bit_length() - 1)
+        coalition ^= low
     return out
 
 

@@ -13,7 +13,10 @@ never forms the potential: it crowns each coalition's efficient player by
 the rewards reciprocity would force from a caller-chosen anchor.
 ``dumps_game`` and ``dumps_matrix`` are the former serializers, which
 rendered through nested dicts, ``json.dumps(indent=2)`` and one
-``coalition_key`` call per entry. ``check_game_values`` is ``Game``'s
+``coalition_key`` call per entry. ``echo_efficient_players`` is the
+CLI's former listing of efficient players, one sort key and one echo per
+coalition, and ``members_by_bit_position`` is ``members`` as it walked
+every bit position. ``check_game_values`` is ``Game``'s
 former sign and monotonicity scan on the Fractions themselves.
 ``product_enumeration_solve`` is the global enumeration's former loop: a
 product over every assignment of full-value members, each row rebuilt from
@@ -46,6 +49,8 @@ from fractions import Fraction
 from itertools import groupby, permutations, product, repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
+
+import click
 
 from fairshare import (
     CheckResult,
@@ -798,6 +803,29 @@ def dumps_matrix(doc: MatrixDocument, form: str) -> str:
                     [labels[i], coalition_key(labels, mask), str(matrix.rewards[i][mask])]
                 )
     return buf.getvalue()
+
+
+def echo_efficient_players(doc: GameDocument, efficient: dict[int, int]) -> None:
+    """The efficient-player listing as the CLI's former
+    ``_echo_efficient_players`` printed it."""
+    click.echo("efficient player per coalition:")
+    order = sorted(efficient, key=lambda m: (m.bit_count(), doc.key(m)))
+    for mask in order:
+        key = coalition_key(doc.labels, mask) or ""
+        click.echo(f"  {{{key}}} -> {doc.labels[efficient[mask]]}")
+
+
+def members_by_bit_position(coalition: int) -> list[int]:
+    """``members`` as its former loop found them: every bit position up to
+    the highest member, one shift each."""
+    out = []
+    i = 0
+    while coalition:
+        if coalition & 1:
+            out.append(i)
+        coalition >>= 1
+        i += 1
+    return out
 
 
 def check_game_values(values) -> None:

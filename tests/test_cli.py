@@ -26,6 +26,7 @@ from fairshare import (
 from fairshare.cli import main
 from reference import (
     eager_compare_mechanisms,
+    echo_efficient_players,
     fraction_potential,
     phi_from_potential,
     potential_scaled_rho_shapley,
@@ -142,6 +143,34 @@ class TestSolve:
         assert result.exit_code == 0
         assert "efficient player per coalition:" in result.output
         assert "{1,2,3} -> 3" in result.output
+
+    @pytest.mark.parametrize(
+        "labels,scale",
+        [
+            (("b", "a", "10", "2", 'say "hi"', "x y", "caf\u00e9"), Fraction(7, 3)),
+            (("z", "y", "x", "w", "v"), 10.0),
+            (("solo",), Fraction(1)),
+        ],
+    )
+    def test_efficient_players_print_as_the_former_listing(
+        self, runner, tmp_path, capsys, labels, scale
+    ):
+        game = random_monotone_game(len(labels), 4, scale)
+        doc = GameDocument(game, labels, "rational" if game.exact else FLOAT)
+        path = tmp_path / "game.json"
+        path.write_text(serialize_game(doc))
+        matrix, efficient = solve(game)
+        capsys.readouterr()
+        echo_efficient_players(doc, efficient)
+        listing = capsys.readouterr().out
+        table = serialize_matrix(MatrixDocument(matrix, labels, doc.number_mode, efficient))
+        result = runner.invoke(main, ["solve", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == table + "\n" + listing
+        out = tmp_path / "rewards.csv"
+        result = runner.invoke(main, ["solve", str(path), "--format", "long", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == f"wrote reward table to {out}\n" + listing
 
     def test_write_to_file(self, runner, c3_path, tmp_path):
         out = tmp_path / "rewards.csv"

@@ -27,7 +27,7 @@ from fairshare import (
     useless_players,
 )
 from fairshare import axioms, baselines, formats, games, oracle, solver
-from reference import check_game_values, monotone_by_all_pairs
+from reference import check_game_values, members_by_bit_position, monotone_by_all_pairs
 
 
 def test_members_and_mask_roundtrip():
@@ -35,6 +35,11 @@ def test_members_and_mask_roundtrip():
     assert members(0b1011) == [0, 1, 3]
     assert mask_of([0, 1, 3]) == 0b1011
     assert mask_of([]) == 0
+
+
+def test_members_match_the_bit_position_walk():
+    for mask in range(1 << 12):
+        assert members(mask) == members_by_bit_position(mask)
 
 
 def test_submasks_cover_the_powerset():
