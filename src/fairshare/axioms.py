@@ -28,7 +28,11 @@ deterministic.
 
 The conditional axioms follow the implication shape "if the game relates
 players like X, rewards must relate like Y"; the checkers first find where
-the premise holds, then verify the conclusion only there.
+the premise holds, then verify the conclusion only there. F1-F3's premises
+are one relation, found once per set of numbers (``_Numbers.dominance``):
+whether joining i is worth at least joining j to every coalition with
+neither. F1 reads the players whom joining nobody dominates, F2 the pairs
+that dominate each other, and F3 the pairs where only one dominates.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from functools import cached_property
+from itertools import combinations, compress, permutations, repeat
 from operator import add, eq, le, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -154,7 +159,19 @@ class AxiomReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-class _Numbers(NamedTuple):
+class _Fields(NamedTuple):
+    """``_Numbers``' fields: its subclass, unlike a NamedTuple, can cache."""
+
+    values: Sequence
+    rows: Sequence[Sequence]
+    eps: Sequence[Scalar]
+    denominator: int | None
+    no_slack: bool
+    exact: bool
+    runs: tuple[_Run, ...]
+
+
+class _Numbers(_Fields):
     """Game values and reward rows as every single-table checker compares them.
 
     A comparison allows ``eps[C]`` for the smallest coalition C whose value
@@ -166,14 +183,6 @@ class _Numbers(NamedTuple):
     ``exact`` says that, and that game and table are both exact, so sums of
     entries are exact too. ``runs`` holds every player's ``_Run``.
     """
-
-    values: Sequence
-    rows: Sequence[Sequence]
-    eps: Sequence[Scalar]
-    denominator: int | None
-    no_slack: bool
-    exact: bool
-    runs: tuple[_Run, ...]
 
     def unscale(self, x):
         """A compared number as the entry it came from (for witnesses)."""
@@ -191,6 +200,31 @@ class _Numbers(NamedTuple):
         ``Fraction`` it would subtract in floats.
         """
         return _least_failure(screens, None if self.no_slack else holds)
+
+    @cached_property
+    def dominance(self) -> set[tuple[int, int]]:
+        """Every (x, y) of player bits, x = 0 for nobody, where x dominates
+        y (``_dominates``): the one relation that F1-F3's premises read,
+        found once for all three."""
+        bits = [1 << i for i in range(len(self.rows))]
+        return {
+            (x, y)
+            for x in (0, *bits)
+            for y in bits
+            if x != y and _dominates(self.values, self.eps, x, y)
+        }
+
+
+def _dominates(values: Sequence, eps: Sequence, x: int, y: int) -> bool:
+    """Whether joining player bit x is worth at least joining y to every
+    coalition B that has neither: ``v(B+y) − v(B+x) <= eps[B+x+y]``. With
+    x = 0, joining nobody, it says that y never raises a value by more than
+    the slack; the game is monotone, so y is useless."""
+    both = x | y
+    return all(
+        values[b | y] - values[b | x] <= eps[b | both]
+        for b in submasks((len(values) - 1) ^ both)
+    )
 
 
 def _numbers(game: Game, matrix: RewardMatrix, tol: Tolerance | None) -> _Numbers:
@@ -328,31 +362,16 @@ def _nonparticipation(nums: _Numbers) -> CheckResult:
     return _entry_verdict("R5", nums, bad, _SOLO_VALUE)
 
 
-def useless_players(game: Game, tol: Tolerance | None = None) -> list[int]:
-    """Players whose joining never changes any coalition's value."""
-    return _useless_players(game.values, _slacks(tol, game.values, game))
-
-
-def _useless_players(values: Sequence, eps: Sequence) -> list[int]:
-    grand = len(values) - 1
-    out = []
-    for u in range(grand.bit_length()):
-        bit = 1 << u
-        if all(abs(values[s] - values[s | bit]) <= eps[s | bit] for s in submasks(grand ^ bit)):
-            out.append(u)
-    return out
-
-
 def _uselessness(nums: _Numbers) -> CheckResult:
     """F1: a player who never changes any value earns nothing and changes nothing.
 
-    For each useless player u: (a) u's reward is zero in every coalition,
-    and (b) adding u to any coalition leaves the other members' rewards
-    unchanged. Vacuous when the game has no useless player. Entries of C
-    and of C∪{u} compare on C∪{u}'s slack.
+    For each useless player u, one whom joining nobody dominates: (a) u's
+    reward is zero in every coalition, and (b) adding u to any coalition
+    leaves the other members' rewards unchanged. Vacuous when the game has no useless
+    player. Entries of C and of C∪{u} compare on C∪{u}'s slack.
     """
     rows, eps = nums.rows, nums.eps
-    useless = _useless_players(nums.values, eps)
+    useless = [u for u in range(len(rows)) if (0, 1 << u) in nums.dominance]
     if not useless:
         return CheckResult("F1", Verdict.PASS_VACUOUS)
     for u in useless:
@@ -385,30 +404,15 @@ def _uselessness(nums: _Numbers) -> CheckResult:
     return CheckResult("F1", Verdict.PASS)
 
 
-def symmetric_pairs(game: Game, tol: Tolerance | None = None) -> list[tuple[int, int]]:
-    """Unordered pairs that contribute identically to every outside coalition."""
-    return _symmetric_pairs(game.values, _slacks(tol, game.values, game))
-
-
-def _symmetric_pairs(values: Sequence, eps: Sequence) -> list[tuple[int, int]]:
-    grand = len(values) - 1
-    n = grand.bit_length()
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bit_i, bit_j = 1 << i, 1 << j
-            if all(
-                abs(values[sub | bit_i] - values[sub | bit_j]) <= eps[sub | bit_i | bit_j]
-                for sub in submasks(grand ^ bit_i ^ bit_j)
-            ):
-                out.append((i, j))
-    return out
-
-
 def _symmetry(nums: _Numbers) -> CheckResult:
-    """F2: interchangeable players get equal rewards wherever both belong."""
-    rows, eps = nums.rows, nums.eps
-    pairs = _symmetric_pairs(nums.values, eps)
+    """F2: interchangeable players, each dominating the other, get equal
+    rewards wherever both belong."""
+    rows, eps, dominance = nums.rows, nums.eps, nums.dominance
+    pairs = [
+        (i, j)
+        for i, j in combinations(range(len(rows)), 2)
+        if (1 << i, 1 << j) in dominance and (1 << j, 1 << i) in dominance
+    ]
     if not pairs:
         return CheckResult("F2", Verdict.PASS_VACUOUS)
     for mask, e in enumerate(eps):
@@ -431,39 +435,23 @@ def _symmetry(nums: _Numbers) -> CheckResult:
     return CheckResult("F2", Verdict.PASS)
 
 
-def desirable_pairs(game: Game, tol: Tolerance | None = None) -> list[tuple[int, int]]:
-    """Ordered pairs (i, j) where i contributes at least as much as j everywhere."""
-    return _desirable_pairs(game.values, _slacks(tol, game.values, game))
-
-
-def _desirable_pairs(values: Sequence, eps: Sequence) -> list[tuple[int, int]]:
-    grand = len(values) - 1
-    n = grand.bit_length()
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            bit_i, bit_j = 1 << i, 1 << j
-            if all(
-                values[sub | bit_j] - values[sub | bit_i] <= eps[sub | bit_i | bit_j]
-                for sub in submasks(grand ^ bit_i ^ bit_j)
-            ):
-                out.append((i, j))
-    return out
-
-
 def _strict_desirability(nums: _Numbers) -> CheckResult:
     """F3: a player who dominates another, strictly somewhere inside the
     coalition, must earn strictly more there.
 
-    Applies to (i, j, C) when i's contribution weakly dominates j's
-    everywhere and some non-empty B inside C (avoiding both) has
-    v(B+i) > v(B+j). Vacuous when no such triple exists. B's strictness
-    compares on C's slack, as the conclusion does.
+    Applies to (i, j, C) when i dominates j and some non-empty B inside C
+    (avoiding both) has v(B+i) > v(B+j). Vacuous when no such triple
+    exists. B's strictness compares on C's slack, as the conclusion does.
+    Only the pairs where j does not dominate i in turn are scanned: if it
+    does, ``v(B+i) − v(B+j) <= eps[B+i+j] <= eps[C]`` for every such B,
+    since no slack shrinks as a coalition grows, so no B is strict.
     """
-    values, rows, eps = nums.values, nums.rows, nums.eps
-    pairs = _desirable_pairs(values, eps)
+    values, rows, eps, dominance = nums.values, nums.rows, nums.eps, nums.dominance
+    pairs = [
+        (i, j)
+        for i, j in permutations(range(len(rows)), 2)
+        if (1 << i, 1 << j) in dominance and (1 << j, 1 << i) not in dominance
+    ]
     applied = False
     for mask, e in enumerate(eps):
         for i, j in pairs:

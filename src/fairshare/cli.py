@@ -162,7 +162,9 @@ def check_cmd(game_path: str, matrix_path: str | None, tolerance_text: str | Non
     if matrix_path is None:
         matrix = solve(doc.game).matrix
     else:
-        mdoc = align_matrix_labels(parse_matrix(Path(matrix_path).read_text()), doc.labels)
+        # read as written: a quoted CSV label may hold a "\r" of its own
+        with open(matrix_path, newline="") as f:
+            mdoc = align_matrix_labels(parse_matrix(f.read()), doc.labels)
         matrix = mdoc.matrix
     tol = _parse_tolerance(tolerance_text)
     report = check_all(doc.game, matrix, tol)
@@ -199,10 +201,11 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
     elif emit_path is not None:
         raise FileFormatError("--emit-matrix requires --rho")
     click.echo("shapley values per coalition:")
-    for mask in sorted(range(1, game.num_coalitions), key=lambda m: (m.bit_count(), doc.key(m))):
+    keys = _coalition_keys(doc.labels)
+    for mask in _canonical_key_order(keys, range(1, game.num_coalitions)):
         phi = _shapley_values(*potential, mask)
         inner = ", ".join(f"{doc.labels[i]}={format_scalar(x)}" for i, x in phi.items())
-        click.echo(f"  {_braced(doc.labels, mask)}: {inner}")
+        click.echo(f"  {{{keys[mask]}}}: {inner}")
     if rendered is None:
         return
     click.echo(f"\nscaled reward table (rho = {rho_text.strip()}):")

@@ -441,10 +441,12 @@ def format_scalar(x: Scalar) -> str:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it among other fields."""
+    """``text`` as ``csv.writer`` writes it among other fields, quoted when
+    it holds a "\r" too: a writer quotes only the line breaks of its own
+    line terminator, and a bare "\r" would end the line for a reader."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
+    return buf.getvalue()[:-3]
 
 
 def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:

@@ -13,7 +13,8 @@ never forms the potential: it crowns each coalition's efficient player by
 the rewards reciprocity would force from a caller-chosen anchor.
 ``dumps_game`` and ``dumps_matrix`` are the former serializers, which
 rendered through nested dicts, ``json.dumps(indent=2)`` and one
-``coalition_key`` call per entry. ``echo_efficient_players`` is the
+``coalition_key`` call per entry; ``dumps_matrix`` quotes a CSV label with
+an inner "\r", as the writers now do. ``echo_efficient_players`` is the
 CLI's former listing of efficient players, one sort key and one echo per
 coalition, and ``members_by_bit_position`` is ``members`` as it walked
 every bit position. ``check_game_values`` is ``Game``'s
@@ -789,20 +790,26 @@ def dumps_matrix(doc: MatrixDocument, form: str) -> str:
                 for mask in _canonical_order(labels, doc.efficient_player)
             }
         return json.dumps(out, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if form == "table":
-        writer.writerow(["player"] + [coalition_key(labels, m) for m in order])
+        rows = [["player"] + [coalition_key(labels, m) for m in order]]
         for i in range(matrix.n_players):
-            writer.writerow([labels[i]] + [str(matrix.rewards[i][m]) for m in order])
+            rows.append([labels[i]] + [str(matrix.rewards[i][m]) for m in order])
     else:
-        writer.writerow(["player", "coalition", "reward"])
+        rows = [["player", "coalition", "reward"]]
         for i in range(matrix.n_players):
             for mask in order:
-                writer.writerow(
+                rows.append(
                     [labels[i], coalition_key(labels, mask), str(matrix.rewards[i][mask])]
                 )
-    return buf.getvalue()
+    return "".join(map(_csv_line, rows))
+
+
+def _csv_line(fields) -> str:
+    """One CSV row ending in "\n", by a writer whose "\r\n" line terminator
+    makes it quote a field with an inner "\r" as well as one with "\n"."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
 
 
 def echo_efficient_players(doc: GameDocument, efficient: dict[int, int]) -> None:

@@ -1,10 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
-import fairshare
 import reference
 from fairshare import (
     BadParamsError,
@@ -21,15 +21,12 @@ from fairshare import (
     check_strict_monotonicity_pair,
     coverage_game,
     default_tolerance,
-    desirable_pairs,
     members,
     raise_coalition_value,
     random_monotone_game,
     scaled_rho_shapley,
     shapley,
     solve,
-    symmetric_pairs,
-    useless_players,
 )
 from fairshare.axioms import _numbers, _potential
 from fairshare.games import _MAX_DENOMINATOR_BITS
@@ -59,25 +56,48 @@ class TestTolerance:
         assert not default_tolerance(example1, matrix.as_float()).is_exact
 
 
+def premises(game, tol=None) -> dict:
+    """The useless players, symmetric pairs and desirable pairs that the
+    checkers' one dominance relation gives, as the reference finders list
+    them. The slack is the game's own, as theirs is."""
+    dominance = _numbers(game, solve(game).matrix, tol).dominance
+    n = game.n_players
+
+    def dominates(i, j):
+        return (1 << i, 1 << j) in dominance
+
+    return {
+        "useless_players": [u for u in range(n) if (0, 1 << u) in dominance],
+        "symmetric_pairs": [
+            (i, j) for i, j in combinations(range(n), 2) if dominates(i, j) and dominates(j, i)
+        ],
+        "desirable_pairs": [(i, j) for i, j in permutations(range(n), 2) if dominates(i, j)],
+    }
+
+
 class TestPremiseHelpers:
     def test_useless_players(self):
         g = coverage_game([["a"], [], ["b"]], {"a": 2, "b": 1})
-        assert useless_players(g) == [1]
-        assert useless_players(additive_game([1, 2])) == []
+        assert premises(g)["useless_players"] == [1]
+        assert premises(additive_game([1, 2]))["useless_players"] == []
 
     def test_symmetric_pairs(self):
-        assert symmetric_pairs(Game(2, [0, 1, 1, 3])) == [(0, 1)]
-        assert symmetric_pairs(additive_game([1, 2, 1])) == [(0, 2)]
+        assert premises(Game(2, [0, 1, 1, 3]))["symmetric_pairs"] == [(0, 1)]
+        assert premises(additive_game([1, 2, 1]))["symmetric_pairs"] == [(0, 2)]
 
     def test_example1_has_no_symmetric_pair(self, example1):
         # players 1 and 3 alone are worth the same but diverge with partners
-        assert symmetric_pairs(example1) == []
+        assert premises(example1)["symmetric_pairs"] == []
 
     def test_desirable_pairs_are_ordered(self):
         g = additive_game([1, 2])
-        assert desirable_pairs(g) == [(1, 0)]
+        assert premises(g)["desirable_pairs"] == [(1, 0)]
         sym = Game(2, [0, 1, 1, 3])
-        assert set(desirable_pairs(sym)) == {(0, 1), (1, 0)}
+        assert set(premises(sym)["desirable_pairs"]) == {(0, 1), (1, 0)}
+
+    def test_relation_is_found_once_per_set_of_numbers(self, example1, example1_solution):
+        nums = _numbers(example1, example1_solution.matrix, None)
+        assert nums.dominance is nums.dominance
 
 
 class TestIncentiveChecksOnSolverOutput:
@@ -301,7 +321,7 @@ class TestStrictDesirabilityForcedEquality:
 
     def test_dominance_premise_holds(self, edge_game):
         g = edge_game
-        assert (3, 0) in desirable_pairs(g)
+        assert (3, 0) in premises(g)["desirable_pairs"]
         strict = [
             b
             for b in range(8)
@@ -345,7 +365,7 @@ class TestStrictDesirabilityForcedEquality:
         # equality can replace strictness, a reversal never can
         for g in random_games([3, 4, 5], 20, seed0=10_000):
             matrix = solve(g).matrix
-            for i, j in desirable_pairs(g):
+            for i, j in premises(g)["desirable_pairs"]:
                 both = (1 << i) | (1 << j)
                 for mask in range(g.num_coalitions):
                     if mask & both == both:
@@ -711,11 +731,19 @@ _TOLERANCES = (
 
 
 def _premise_games():
-    """Games where each F1-F3 premise fires, then random ones."""
+    """Games where each F1-F3 premise fires; games where pairs that dominate
+    each other sit beside one-way pairs; then random ones."""
     yield coverage_game([["a"], [], ["b"], ["a", "c"]], {"a": 2, "b": 1, "c": 3})
     yield additive_game([1, 2, 1, 2])
     yield additive_game([1, 2, 3, 5])
     yield Game(3, [0, 1, 1, 3, 2, 4, 4, 7])
+    yield Game(6, [m.bit_count() ** 2 for m in range(64)])
+    yield Game(6, [int(m & 0b111 == 0b111) for m in range(64)])
+    base = random_monotone_game(5, 4310)
+    # player 5 joins as player 2 does, so the two are twins
+    yield Game(6, [base.values[m & 0b11111 | (m >> 5) << 2] for m in range(64)])
+    # player 0 joins as nobody does
+    yield Game(6, [base.values[m >> 1] for m in range(64)])
     yield from random_games([2, 3, 4, 5], 2, seed0=4300)
 
 
@@ -750,15 +778,28 @@ class TestPremiseReferences:
 
     def test_premise_finders(self):
         games = list(_premise_games())
-        assert useless_players(games[0]) == [1]
-        assert symmetric_pairs(games[1]) == [(0, 2), (1, 3)]
-        assert symmetric_pairs(games[2]) == []
-        assert (3, 0) in desirable_pairs(games[2])
+        assert premises(games[0])["useless_players"] == [1]
+        assert premises(games[1])["symmetric_pairs"] == [(0, 2), (1, 3)]
+        assert premises(games[2])["symmetric_pairs"] == []
+        assert (3, 0) in premises(games[2])["desirable_pairs"]
         for g in games:
             for form in (g, g.as_float()):
                 for tol in _TOLERANCES:
+                    found = premises(form, tol)
                     for name, finder in PREMISE_FINDERS.items():
-                        assert getattr(fairshare, name)(form, tol) == finder(form, tol)
+                        assert found[name] == finder(form, tol), name
+
+    def test_mutual_and_one_way_pairs_side_by_side(self):
+        # |C|², unanimity on {0,1,2}, a planted twin and a planted null player
+        square, unanimity, twin, null = list(_premise_games())[4:8]
+        assert premises(square)["symmetric_pairs"] == list(combinations(range(6), 2))
+        assert check_axiom("F3", square, solve(square).matrix).verdict is Verdict.PASS_VACUOUS
+        found = premises(unanimity)
+        assert found["useless_players"] == [3, 4, 5]
+        assert {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)} == set(found["symmetric_pairs"])
+        assert (0, 3) in found["desirable_pairs"] and (3, 0) not in found["desirable_pairs"]
+        assert (2, 5) in premises(twin)["symmetric_pairs"]
+        assert premises(null)["useless_players"] == [0]
 
     def test_single_table_checks(self):
         rng = random.Random(8)

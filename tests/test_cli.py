@@ -278,6 +278,18 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(gpath), "--matrix", str(mpath)])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("form", ["table", "long"])
+    def test_csv_of_a_label_with_an_inner_cr_reads_back(self, runner, tmp_path, form):
+        gpath = tmp_path / "game.json"
+        labels = ("c\rd", "x")
+        gpath.write_text(serialize_game(GameDocument(Game(2, [0, 1, 2, 4]), labels, "rational")))
+        mpath = tmp_path / "table.csv"
+        result = runner.invoke(main, ["solve", str(gpath), "-o", str(mpath), "--format", form])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["check", str(gpath), "--matrix", str(mpath)])
+        assert result.exit_code == 0, result.output
+        assert "F5 balanced reciprocity: pass" in result.output
+
     def test_tampered_matrix_fails_with_exit_2(self, runner, c3_path, tmp_path):
         doc = parse_game(c3_path.read_text())
         matrix = solve(doc.game).matrix.replace_entry(0, 0b011, Fraction(99))

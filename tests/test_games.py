@@ -24,9 +24,10 @@ from fairshare import (
     raise_coalition_value,
     random_monotone_game,
     submasks,
-    useless_players,
+    solve,
 )
 from fairshare import axioms, baselines, formats, games, oracle, solver
+from fairshare.axioms import _numbers
 from reference import check_game_values, members_by_bit_position, monotone_by_all_pairs
 
 
@@ -301,7 +302,9 @@ class TestFamilies:
 
     def test_coverage_empty_set_player_is_useless(self):
         g = coverage_game([["a"], [], ["b"]], {"a": 2, "b": 1})
-        assert useless_players(g) == [1]
+        dominance = _numbers(g, solve(g).matrix, None).dominance
+        # joining nobody dominates joining player 1, and only player 1
+        assert [u for u in range(3) if (0, 1 << u) in dominance] == [1]
 
     def test_coverage_rejects_unknown_elements(self):
         with pytest.raises(BadParamsError):
