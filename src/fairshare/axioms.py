@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
 from .games import Game, Scalar, _least_failure, _Run, _runs, members, submasks
-from .solver import RewardMatrix, _fill_down_set
+from .solver import RewardMatrix, _min_plus_potential
 
 
 @dataclass(frozen=True)
@@ -566,10 +566,26 @@ def _balanced_reciprocity(nums: _Numbers) -> CheckResult:
 
 
 def _balanced_reward(game: Game, player: int, coalition: int) -> Scalar:
-    """The solver's entry for one member of one coalition, computed on the
-    coalition's down-set alone, which is all the entry depends on."""
-    x = _fill_down_set(game, coalition)[0][player][coalition]
-    return x if game._denominator is None else Fraction(x, game._denominator)
+    """The solver's entry for one member of one coalition.
+
+    An entry depends only on its coalition's submasks, so it is the entry
+    of the subgame on that coalition, whose players keep their order.
+    """
+    mem = members(coalition)
+    subs = [0]
+    for i in mem:
+        subs += [s | 1 << i for s in subs]
+    # a subgame of a valid game is valid, so it is solved on the game's
+    # stored values as they are
+    v = list(map(game._numerators.__getitem__, subs))
+    top, j = len(subs) - 1, mem.index(player)
+    if game.exact:
+        p, _ = _min_plus_potential(len(mem), v)
+        x = p[top] - p[top ^ 1 << j]
+        return x if game._denominator is None else Fraction(x, game._denominator)
+    rows = [[v[1 << i]] * len(v) for i in range(len(mem))]
+    _min_plus_potential(len(mem), v, rows)
+    return rows[j][top]
 
 
 def check_strict_monotonicity_pair(

@@ -31,9 +31,9 @@ from .formats import (
     FLOAT,
     GameDocument,
     MatrixDocument,
-    _canonical_key_order,
-    _coalition_keys,
     _exact_ratio,
+    _keys_in_order,
+    _serialize_matrix,
     align_matrix_labels,
     coalition_key,
     default_labels,
@@ -98,9 +98,10 @@ def _render_witness(witness: dict, labels: tuple[str, ...]) -> str:
     return ", ".join(parts)
 
 
-def _echo_efficient_players(doc: GameDocument, efficient: dict[int, int]) -> None:
-    keys = _coalition_keys(doc.labels)
-    chosen = list(filter(efficient.__contains__, _canonical_key_order(keys, range(len(keys)))))
+def _echo_efficient_players(
+    doc: GameDocument, efficient: dict[int, int], keys: list[str], order: list[int]
+) -> None:
+    chosen = list(filter(efficient.__contains__, order))
     names = map(doc.labels.__getitem__, map(efficient.__getitem__, chosen))
     lines = map("  {%s} -> %s\n".__mod__, zip(map(keys.__getitem__, chosen), names))
     click.echo("efficient player per coalition:\n" + "".join(lines), nl=False)
@@ -135,17 +136,19 @@ def solve_cmd(game_path: str, out_path: str | None, form: str):
     doc = _load_game(game_path)
     matrix, efficient = solve(doc.game)
     out_doc = MatrixDocument(matrix, doc.labels, doc.number_mode, efficient)
-    rendered = serialize_matrix(out_doc, form)
+    # the table and the efficient-player listing share one key order
+    keys, order = _keys_in_order(doc.labels)
+    rendered = _serialize_matrix(out_doc, form, keys, order)
     if out_path is None:
         click.echo(rendered, nl=False)
         if form != "json":
             click.echo()
-            _echo_efficient_players(doc, efficient)
+            _echo_efficient_players(doc, efficient, keys, order)
     else:
         Path(out_path).write_text(rendered)
         click.echo(f"wrote reward table to {out_path}")
         if form != "json":
-            _echo_efficient_players(doc, efficient)
+            _echo_efficient_players(doc, efficient, keys, order)
 
 
 @main.command(name="check")
@@ -201,8 +204,8 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
     elif emit_path is not None:
         raise FileFormatError("--emit-matrix requires --rho")
     click.echo("shapley values per coalition:")
-    keys = _coalition_keys(doc.labels)
-    for mask in _canonical_key_order(keys, range(1, game.num_coalitions)):
+    keys, order = _keys_in_order(doc.labels)
+    for mask in order[1:]:
         phi = _shapley_values(*potential, mask)
         inner = ", ".join(f"{doc.labels[i]}={format_scalar(x)}" for i, x in phi.items())
         click.echo(f"  {{{keys[mask]}}}: {inner}")

@@ -87,10 +87,11 @@ def _coalition_keys(labels: tuple[str, ...]) -> list[str]:
     return keys
 
 
-def _canonical_key_order(keys: list[str], masks) -> list[int]:
-    """``masks`` by coalition size, then by key: two stable sorts, each on
-    a C-level key."""
-    return sorted(sorted(masks, key=keys.__getitem__), key=int.bit_count)
+def _keys_in_order(labels: tuple[str, ...]) -> tuple[list[str], list[int]]:
+    """Every mask's coalition key, and all masks in canonical order: by
+    coalition size, then by key, two stable sorts on C-level keys."""
+    keys = _coalition_keys(labels)
+    return keys, sorted(sorted(range(len(keys)), key=keys.__getitem__), key=int.bit_count)
 
 
 @dataclass(frozen=True)
@@ -419,8 +420,7 @@ def serialize_game(doc: GameDocument) -> str:
     """Canonical, byte-stable JSON for a game document."""
     labels = doc.labels
     game = doc.game
-    keys = _coalition_keys(labels)
-    order = _canonical_key_order(keys, range(game.num_coalitions))
+    keys, order = _keys_in_order(labels)
     parts = ["{\n  ", _json_players(labels), ",\n  "]
     if doc.number_mode == FLOAT:
         parts.append(f'"number_mode": "{FLOAT}",\n  ')
@@ -451,6 +451,11 @@ def _csv_field(text: str) -> str:
 
 def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
     """Render a reward table as "table" or "long" CSV, or as JSON."""
+    return _serialize_matrix(doc, form, *_keys_in_order(doc.labels))
+
+
+def _serialize_matrix(doc: MatrixDocument, form: str, keys: list[str], order: list[int]) -> str:
+    """``serialize_matrix`` with the labels' ``_keys_in_order`` given."""
     labels = doc.labels
     matrix = doc.matrix
     n = len(labels)
@@ -458,8 +463,6 @@ def serialize_matrix(doc: MatrixDocument, form: str = "table") -> str:
         raise FileFormatError("label count does not match the matrix")
     if form not in ("table", "long", "json"):
         raise FileFormatError(f'unknown format {form!r}; expected table, long, or json')
-    keys = _coalition_keys(labels)
-    order = _canonical_key_order(keys, range(matrix.num_coalitions))
     rows = _ordered_texts(
         matrix._numerators, matrix._denominator, order, '"' if form == "json" else ""
     )

@@ -14,23 +14,28 @@ The table is the gradient of a min-plus potential over coalitions,
 
 the ``min`` analogue of the Hart–Mas-Colell potential behind Shapley values
 (Econometrica 57(3), 1989). The efficient player k of C is the
-lowest-index argmin, so r_k(C) = v(C). The solver computes P in one pass
-over coalitions in ascending mask order and fills every other member's
-entry from k's row, as v(C) − r_k(C∖i) + r_i(C∖k), which equals
-P(C) − P(C∖i) in exact arithmetic. In float mode that expression keeps the
-rounding relative to v(C), whereas the difference of two potentials
-rounds relative to P, which grows to about n·v(N).
+lowest-index argmin, so r_k(C) = v(C). The solver computes P one
+coalition size at a time: per member position, one C-level gather reads P
+at every C∖i of that size, and the first position holding the minimum
+gives k. Exact entries are then the differences P(C) − P(C∖i), taken a
+row slice at a time. Float entries are filled size by size from k's row,
+as v(C) − r_k(C∖i) + r_i(C∖k), which equals P(C) − P(C∖i) in exact
+arithmetic but keeps the rounding relative to v(C), whereas the difference
+of two float potentials rounds relative to P, which grows to about n·v(N).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from itertools import compress
+from operator import add, and_, getitem, itemgetter, setitem, sub
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, OutOfRangeError
-from .games import Game, Scalar, _over_common_denominator, members
+from .games import Game, Scalar, _over_common_denominator, _runs
 
 # Maps each coalition of size >= 2 to the member whose reward equals the
 # coalition's full value.
@@ -143,39 +148,98 @@ class SolveResult(NamedTuple):
     efficient_player: EfficientPlayerMap
 
 
-def _fill_down_set(game: Game, top: int) -> tuple[list[list[Scalar]], EfficientPlayerMap]:
-    """Reward rows filled for every submask of ``top``, and their efficient
-    players; entries of coalitions outside that down-set keep solo values.
+class _Level(NamedTuple):
+    """The coalitions of one size, ascending (``masks``). For each member
+    position j, counted from the lowest player, ``drop[j]`` gathers a dense
+    table at every mask less its j-th member, and ``who[j]`` holds that
+    member."""
 
-    One pass over the submasks in ascending mask order, so every C∖i is
-    done before C. Each entry depends only on its coalition's own
-    submasks, so it comes out the same whatever ``top`` contains it.
-    Entries are in the game's stored form: ints over its denominator when
-    it has one, otherwise the values' own type.
+    masks: tuple[int, ...]
+    drop: tuple[itemgetter, ...]
+    who: tuple[bytes, ...]
+
+
+def _gather(indices: Sequence[int]) -> itemgetter:
+    # itemgetter of one index returns the item itself; a one-wide slice
+    # keeps the result a sequence
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
+@lru_cache(maxsize=None)
+def _levels(n_players: int) -> tuple[_Level, ...]:
+    """Every coalition size of an n-player game, as ``_Level``s, size 0 first.
+
+    Built from 0 players up: with t players, size L holds the masks of
+    size L without player t, then those of size L−1 with t added, so each
+    size stays ascending and every position's gather extends the last
+    one's. The smaller player counts it passes through are not kept. Every
+    mask is an int of one shared list, so the tables cost a pointer per
+    (coalition, member): 1.6 MB at n=14.
     """
-    v = game._numerators
-    n = game.n_players
-    # Non-members always keep their solo value, and in coalitions of size
-    # <= 1 every player's reward is their solo value, so seed the whole
-    # table with solo values and only overwrite members of larger coalitions.
-    rows = [[v[1 << i]] * (1 << n) for i in range(n)]
-    p = [v[0]] * (1 << n)
-    efficient: EfficientPlayerMap = {}
-    mask = 0
-    while mask != top:
-        mask = (mask - top) & top  # the next submask of top
-        mem = members(mask)
-        k = min(mem, key=lambda i: p[mask ^ (1 << i)])
-        v_c = v[mask]
-        p[mask] = v_c + p[mask ^ (1 << k)]
-        if len(mem) < 2:
-            continue
-        efficient[mask] = k
-        rows[k][mask] = v_c
-        for i in mem:
+    shared = list(range(1 << n_players))
+    levels = [([0], [], [])]
+    for t in range(n_players):
+        top = 1 << t
+        # x -> x | top for x < top, without a new int per entry
+        up = shared[top : 2 * top].__getitem__
+        grown = [levels[0]]
+        for size in range(1, t + 2):
+            masks, drops, who = levels[size] if size <= t else ([], [[]] * size, [b""] * size)
+            lo_masks, lo_drops, lo_who = levels[size - 1]
+            # positions below t keep their gathers moved up by top; t, the
+            # last position, leaves exactly the mask it was added to
+            grown.append((
+                [*masks, *map(up, lo_masks)],
+                [[*d, *map(up, lo)] for d, lo in zip(drops, lo_drops)] + [drops[-1] + lo_masks],
+                [w + lo for w, lo in zip(who, lo_who)] + [who[-1] + bytes([t]) * len(lo_masks)],
+            ))
+        levels = grown
+    return tuple(
+        _Level(tuple(masks), tuple(map(_gather, drops)), tuple(who))
+        for masks, drops, who in levels
+    )
+
+
+def _fill_float(rows: list[list], level: _Level, efficient: list[int], values: list) -> None:
+    """One size's float entries, from the entries of the size below.
+
+    The efficient player k of C gets v(C), and every other member
+    v(C) − r_k(C∖i) + r_i(C∖k), which rounds relative to v(C).
+    """
+    masks = level.masks
+    deque(map(setitem, map(rows.__getitem__, efficient), masks, values), 0)
+    for who in level.who:
+        for mask, i, k, v_c in zip(masks, who, efficient, values):
             if i != k:
-                rows[i][mask] = v_c - rows[k][mask ^ (1 << i)] + rows[i][mask ^ (1 << k)]
-    return rows, efficient
+                row_i = rows[i]
+                row_i[mask] = v_c - rows[k][mask ^ (1 << i)] + row_i[mask ^ (1 << k)]
+
+
+def _min_plus_potential(
+    n: int, v: Sequence[Scalar], float_rows: list[list] | None = None
+) -> tuple[list, list[int]]:
+    """The min-plus potential P of the n-player game whose stored values
+    are ``v``, and the efficient player at every mask of two or more
+    members. Given a float game's reward rows, seeded with solo values,
+    it also fills their entries one size at a time."""
+    # P(C) = v(C) up to size 1, since v(∅) = 0
+    p = list(v)
+    chosen = [0] * len(v)
+    for level in _levels(n)[2:]:
+        masks = level.masks
+        options = list(zip(*[take(p) for take in level.drop]))
+        least = list(map(min, options))
+        # the first position holding the minimum is the lowest-index argmin
+        at = map(level.who.__getitem__, map(tuple.index, options, least))
+        efficient = list(map(getitem, at, range(len(masks))))
+        values = list(map(v.__getitem__, masks))
+        deque(map(p.__setitem__, masks, map(add, values, least)), 0)
+        deque(map(chosen.__setitem__, masks, efficient), 0)
+        if float_rows is not None:
+            _fill_float(float_rows, level, efficient, values)
+    return p, chosen
 
 
 def solve(game: Game) -> SolveResult:
@@ -186,8 +250,20 @@ def solve(game: Game) -> SolveResult:
     them as they are; its ``rewards`` read as Fractions. A float game is
     solved on its floats.
     """
-    rows, efficient = _fill_down_set(game, game.grand_coalition)
+    n = game.n_players
+    v = game._numerators
+    # non-members keep their solo value, as does every member of a
+    # coalition of size <= 1
+    rows = [[v[1 << i]] * (1 << n) for i in range(n)]
+    if game.exact:
+        p, chosen = _min_plus_potential(n, v)
+        for run in _runs(n):
+            rows[run.i][run.with_i] = map(sub, p[run.with_i], p[run.without_i])
+    else:
+        _, chosen = _min_plus_potential(n, v, rows)
+    # ascending masks of two or more members: m & (m − 1) is nonzero
+    pairs = map(and_, range(1 << n), range(-1, (1 << n) - 1))
     # the table holds every value of the game (v(C) goes to C's efficient
     # player, v({i}) to i alone), so the game's denominator is its least one
-    matrix = RewardMatrix._stored(game.n_players, tuple(map(tuple, rows)), game._denominator)
-    return SolveResult(matrix, efficient)
+    matrix = RewardMatrix._stored(n, tuple(map(tuple, rows)), game._denominator)
+    return SolveResult(matrix, dict(compress(enumerate(chosen), pairs)))

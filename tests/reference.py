@@ -29,7 +29,10 @@ and ``eager_compare_mechanisms`` are the Shapley baselines' former
 ``fraction_fill_down_set``, ``fraction_solve`` and
 ``fraction_brute_force_solve`` are the solver's pass and the level-wise
 oracle as they ran before exact games were solved on integers: ``Fraction``
-arithmetic on every entry. ``column`` is the former ``RewardMatrix.column``.
+arithmetic on every entry, one coalition at a time in ascending mask
+order. F4 took each entry from the same fill, run on the coalition's
+down-set alone, before it solved the subgame on that coalition.
+``column`` is the former ``RewardMatrix.column``.
 ``parse_matrix_by_shape`` is ``parse_matrix`` as it read each table shape
 through a loop of its own (``_parse_matrix_json``,
 ``_parse_matrix_table_csv``, ``_parse_matrix_long_csv``) and finished all
@@ -105,6 +108,17 @@ from fairshare.oracle import (
 WIDE_DENOMINATOR_GAME = additive_game(
     [Fraction(1, 2**61 - 1), Fraction(1, 2**89 - 1), Fraction(1, 2**107 - 1), 1, Fraction(2, 3)]
 )
+
+
+def planted_games() -> tuple[Game, Game]:
+    """A random 5-player game grown to 6 players two ways: with player 5 a
+    twin of player 2 (joining as player 2 does), and with a null player 0
+    (joining as nobody does)."""
+    base = random_monotone_game(5, 4310)
+    return (
+        Game(6, [base.values[m & 0b11111 | (m >> 5) << 2] for m in range(64)]),
+        Game(6, [base.values[m >> 1] for m in range(64)]),
+    )
 
 
 def random_games(sizes, per_size, seed0=0, max_increment=10):

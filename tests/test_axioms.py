@@ -36,6 +36,7 @@ from reference import (
     PREMISE_FINDERS,
     TABLE_CHECKS,
     column,
+    planted_games,
     random_games,
     violation_reproduces,
 )
@@ -272,7 +273,7 @@ class TestStrictMonotonicityPair:
 
     def test_campaign_on_random_games(self):
         # each game also runs in float mode; the check reads its rewards
-        # from the coalition's down-set alone, and they must be solve's
+        # from the subgame on the coalition alone, and they must be solve's
         import random
 
         rng = random.Random(99)
@@ -739,11 +740,7 @@ def _premise_games():
     yield Game(3, [0, 1, 1, 3, 2, 4, 4, 7])
     yield Game(6, [m.bit_count() ** 2 for m in range(64)])
     yield Game(6, [int(m & 0b111 == 0b111) for m in range(64)])
-    base = random_monotone_game(5, 4310)
-    # player 5 joins as player 2 does, so the two are twins
-    yield Game(6, [base.values[m & 0b11111 | (m >> 5) << 2] for m in range(64)])
-    # player 0 joins as nobody does
-    yield Game(6, [base.values[m >> 1] for m in range(64)])
+    yield from planted_games()
     yield from random_games([2, 3, 4, 5], 2, seed0=4300)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from fairshare import (
     MatrixDocument,
     OutOfRangeError,
     RewardMatrix,
+    SizeLimitExceededError,
     additive_game,
     align_matrix_labels,
     brute_force_solve,
@@ -22,16 +24,19 @@ from fairshare import (
     serialize_matrix,
     solve,
 )
-from fairshare.axioms import _numbers
-from fairshare.oracle import agree_up_to_rounding
+from fairshare.axioms import _balanced_reward, _numbers
+from fairshare.oracle import LEVEL_WISE_MAX_PLAYERS, agree_up_to_rounding
+from fairshare.solver import _levels
 from reference import (
     WIDE_DENOMINATOR_GAME,
     anchored_solve,
     column,
     fraction_brute_force_solve,
+    fraction_fill_down_set,
     fraction_solve,
     highest_member_anchor,
     lowest_member_anchor,
+    planted_games,
     random_games,
 )
 
@@ -304,6 +309,16 @@ def test_counterexample3_spot_values(counterexample3):
     assert column(matrix, 0b111) == (3, 5, 6)
 
 
+def _structured_games(n):
+    """``v(C) = |C|²`` and the unanimity game of {0, 1, 2}, where argmin
+    ties are everywhere, exact and float."""
+    square = Game(n, [m.bit_count() ** 2 for m in range(1 << n)])
+    unanimity = Game(n, [int(m & 0b111 == 0b111) for m in range(1 << n)])
+    for name, game in (("square", square), ("unanimity", unanimity)):
+        yield f"{name}-n{n}", game
+        yield f"{name}-n{n}-float", game.as_float()
+
+
 def _differential_games():
     for n in range(1, 10):
         for seed in range(3):
@@ -314,6 +329,14 @@ def _differential_games():
     yield "zero", Game(4, [0] * 16)
     for k in (-6, -2, 0, 3, 12):
         yield f"float-1e{k}/3", random_monotone_game(3 + k % 5, 40 + k, 10.0**k / 3)
+    for n in (3, 6):
+        yield from _structured_games(n)
+    twin, null = planted_games()
+    yield "twin", twin
+    yield "null-player", null
+    for n in range(10, 13):
+        yield f"exact-n{n}", random_monotone_game(n, n, Fraction(10, 3))
+        yield f"float-n{n}", random_monotone_game(n, n, 10.0 / 3)
 
 
 @pytest.mark.parametrize("name, game", list(_differential_games()))
@@ -326,13 +349,66 @@ class TestIntegerPathMatchesFractionPath:
         got, want = solve(game), fraction_solve(game)
         # repr tells Fraction from int and keeps every float bit
         assert repr(got.matrix.rewards) == repr(want.matrix.rewards)
-        assert got.efficient_player == want.efficient_player
+        # insertion order too: ascending masks
+        assert list(got.efficient_player.items()) == list(want.efficient_player.items())
 
     def test_brute_force_solve(self, name, game):
+        if game.n_players > LEVEL_WISE_MAX_PLAYERS:
+            # past its limit each oracle refuses before any work
+            for oracle in (brute_force_solve, fraction_brute_force_solve):
+                with pytest.raises(SizeLimitExceededError):
+                    oracle(game)
+            return
         got, want = brute_force_solve(game), fraction_brute_force_solve(game)
         assert repr(got.matrix.rewards) == repr(want.matrix.rewards)
         assert got.feasible_candidates == want.feasible_candidates
         assert got.unique == want.unique
+
+
+def _f4_games():
+    for k, game in enumerate(random_games(range(1, 7), 2, seed0=70)):
+        yield f"exact-{k}-n{game.n_players}", game
+    for k, game in enumerate(random_games(range(2, 7), 2, seed0=80, max_increment=10.0 / 3)):
+        yield f"float-{k}-n{game.n_players}", game
+    yield "wide-denominator", WIDE_DENOMINATOR_GAME
+    for n in (4, 6):
+        yield from _structured_games(n)
+
+
+@pytest.mark.parametrize("name, game", list(_f4_games()))
+def test_balanced_reward_matches_the_down_set_fill(name, game):
+    """F4's entry, solved on the subgame of its coalition, is the entry of
+    the former down-set fill in value and type, and float bit for bit."""
+    for coalition in range(1, game.num_coalitions):
+        rows, _ = fraction_fill_down_set(game, coalition)
+        for player in members(coalition):
+            got = _balanced_reward(game, player, coalition)
+            assert repr(got) == repr(rows[player][coalition]), (player, coalition)
+
+
+def test_level_tables_at_n14_stay_small():
+    """What ``solve`` keeps per player count: a pointer per (coalition,
+    member) into one shared list of masks, not a new int each."""
+    _levels.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = _levels(14)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 15
+    assert kept < 2 * 2**20, kept
+
+
+def test_level_tables_list_every_coalition_by_size():
+    for n in range(1, 8):
+        for size, level in enumerate(_levels(n)):
+            masks = [m for m in range(1 << n) if m.bit_count() == size]
+            assert list(level.masks) == masks
+            for j, (take, who) in enumerate(zip(level.drop, level.who)):
+                assert list(who) == [members(m)[j] for m in masks]
+                assert list(take(range(1 << n))) == [m ^ 1 << i for m, i in zip(masks, who)]
 
 
 def test_wide_denominator_game_keeps_its_fractions():
