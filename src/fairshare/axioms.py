@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
 from .games import Game, Scalar, _least_failure, _Run, _runs, members, submasks
-from .solver import RewardMatrix, _min_plus_potential
+from .solver import RewardMatrix, _min_plus, _min_plus_potential
 
 
 @dataclass(frozen=True)
@@ -580,7 +580,7 @@ def _balanced_reward(game: Game, player: int, coalition: int) -> Scalar:
     v = list(map(game._numerators.__getitem__, subs))
     top, j = len(subs) - 1, mem.index(player)
     if game.exact:
-        p, _ = _min_plus_potential(len(mem), v)
+        p = _min_plus(len(mem), v)
         x = p[top] - p[top ^ 1 << j]
         return x if game._denominator is None else Fraction(x, game._denominator)
     rows = [[v[1 << i]] * len(v) for i in range(len(mem))]

@@ -20,10 +20,10 @@ import click
 
 from .axioms import AXIOM_NAMES, Tolerance, Verdict, check_all
 from .baselines import (
-    _potential,
+    _game_potential,
     _scaled_matrix,
     _scaled_table,
-    _shapley_values,
+    _shapley_rows,
     compare_mechanisms,
 )
 from .errors import FairshareError, FileFormatError, SizeLimitExceededError
@@ -44,7 +44,7 @@ from .formats import (
     serialize_game,
     serialize_matrix,
 )
-from .games import make_family
+from .games import make_family, members
 from .oracle import agree_up_to_rounding, brute_force_solve, global_enumeration_solve
 from .solver import solve
 
@@ -194,7 +194,7 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
     game = doc.game
     # one potential serves the scaled table and every coalition's listing;
     # a shapley() call per coalition would redo each down-set
-    potential = _potential(game.values, game.grand_coalition)
+    potential = _game_potential(game)
     # every input error surfaces before the listing is printed
     rendered = None
     if rho_text is not None:
@@ -205,9 +205,9 @@ def shapley_cmd(game_path: str, rho_text: str | None, emit_path: str | None, for
         raise FileFormatError("--emit-matrix requires --rho")
     click.echo("shapley values per coalition:")
     keys, order = _keys_in_order(doc.labels)
+    phi = _shapley_rows(potential)
     for mask in order[1:]:
-        phi = _shapley_values(*potential, mask)
-        inner = ", ".join(f"{doc.labels[i]}={format_scalar(x)}" for i, x in phi.items())
+        inner = ", ".join(f"{doc.labels[i]}={format_scalar(phi[i][mask])}" for i in members(mask))
         click.echo(f"  {{{keys[mask]}}}: {inner}")
     if rendered is None:
         return

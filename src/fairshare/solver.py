@@ -217,6 +217,18 @@ def _fill_float(rows: list[list], level: _Level, efficient: list[int], values: l
                 row_i[mask] = v_c - rows[k][mask ^ (1 << i)] + row_i[mask ^ (1 << k)]
 
 
+def _min_plus(n: int, v: Sequence[Scalar]) -> list:
+    """The min-plus potential P of the n-player game whose stored values
+    are ``v``, without the efficient players: one C-level ``min`` over the
+    size's gathers per coalition."""
+    p = list(v)
+    for level in _levels(n)[2:]:
+        masks = level.masks
+        least = map(min, *[take(p) for take in level.drop])
+        deque(map(p.__setitem__, masks, map(add, map(v.__getitem__, masks), least)), 0)
+    return p
+
+
 def _min_plus_potential(
     n: int, v: Sequence[Scalar], float_rows: list[list] | None = None
 ) -> tuple[list, list[int]]:

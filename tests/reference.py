@@ -1024,8 +1024,12 @@ def eager_compare_mechanisms(game: Game, rho) -> EagerComparison:
         residuals=residuals,
         max_residual=max_residual,
         max_residual_witness=witness,
+        # an exact table's threshold is 0, with no float of a value that may
+        # pass the float range
         unbalanced=sum(
-            1 for r in residuals if r.residual > ulps * float(game.values[r.coalition])
+            1
+            for r in residuals
+            if r.residual > (ulps * float(game.values[r.coalition]) if ulps else 0)
         ),
         max_abs_diff=max(abs(d) for row in diffs for d in row),
         entry_diffs=diffs,

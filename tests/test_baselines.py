@@ -1,9 +1,12 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from fairshare import (
+    BadParamsError,
     EmptyCoalitionError,
     Game,
     OutOfRangeError,
@@ -20,6 +23,9 @@ from fairshare import (
     shapley,
     solve,
 )
+from fairshare import baselines
+from fairshare.baselines import _cached_triples, _triple_blocks
+from fairshare.solver import _levels
 from reference import (
     WIDE_DENOMINATOR_GAME,
     EagerComparison,
@@ -231,20 +237,42 @@ def test_scaled_table_passes_everything_but_reciprocity(counterexample3):
 
 DIFFERENTIAL_RHOS = (1, Fraction(1, 2), RHO_IRRATIONAL)
 
+# an additive game whose values pass the float range: its exact report needs
+# no float, and any other exponent is refused
+HUGE_GAME = additive_game([10**400, 2 * 10**400, 3 * 10**400])
+
+
+def _unit_perturbed_game(n: int, seed: int) -> Game:
+    """v(C) = 2⁷⁰·|C|² plus 0–3: the symmetric part balances, so every
+    residual is a few units, far below float resolution at 2⁷⁰."""
+    rng = random.Random(seed)
+    values = [2**70 * m.bit_count() ** 2 + rng.randint(0, 3) for m in range(1, 1 << n)]
+    return Game(n, [0] + values)
+
 
 def _differential_games():
-    for n in range(1, 9):
+    for n in range(1, 10):
         for seed in range(2):
-            yield f"exact-n{n}-s{seed}", random_monotone_game(n, seed)
-    yield "example1", example1_game()
-    yield "counterexample3", counterexample3_game()
-    yield "wide-denominator", WIDE_DENOMINATOR_GAME
-    yield "zero", Game(3, [0] * 8)
+            yield f"exact-n{n}-s{seed}", random_monotone_game(n, seed), DIFFERENTIAL_RHOS
+    yield "float-n9", random_monotone_game(9, 2, 10.0 / 3), DIFFERENTIAL_RHOS
+    yield "example1", example1_game(), DIFFERENTIAL_RHOS
+    yield "counterexample3", counterexample3_game(), DIFFERENTIAL_RHOS
+    yield "wide-denominator", WIDE_DENOMINATOR_GAME, DIFFERENTIAL_RHOS
+    yield "zero", Game(3, [0] * 8), DIFFERENTIAL_RHOS
     # symmetric players tie at the largest residual, so the first witness shows
-    yield "tied-maxima", additive_game([1, 1, 3, 3])
-    yield "tied-maxima-float", additive_game([1, 1, 3, 3]).as_float()
+    yield "tied-maxima", additive_game([1, 1, 3, 3]), DIFFERENTIAL_RHOS
+    yield "tied-maxima-float", additive_game([1, 1, 3, 3]).as_float(), DIFFERENTIAL_RHOS
     for k in range(-6, 13):
-        yield f"float-1e{k}/3", random_monotone_game(3 + k % 4, 100 + k, 10.0**k / 3)
+        game = random_monotone_game(3 + k % 4, 100 + k, 10.0**k / 3)
+        yield f"float-1e{k}/3", game, DIFFERENTIAL_RHOS
+    # games the float screen of exact reports cannot decide alone: exact zero
+    # residuals, nonzero ones below float resolution, values past the float
+    # range, and subnormal values
+    yield "squares", Game(5, [m.bit_count() ** 2 for m in range(32)]), DIFFERENTIAL_RHOS
+    yield "repeated-weights", additive_game([2, 2, 5, 5, 5]), DIFFERENTIAL_RHOS
+    yield "unit-over-2^70", _unit_perturbed_game(5, 0), DIFFERENTIAL_RHOS
+    yield "past-float-range", HUGE_GAME, (1,)
+    yield "subnormal", random_monotone_game(5, 1, Fraction(1, 10**320)), DIFFERENTIAL_RHOS
 
 
 def _same(got, want) -> bool:
@@ -252,27 +280,34 @@ def _same(got, want) -> bool:
     return type(got) is type(want) and repr(got) == repr(want)
 
 
-@pytest.mark.parametrize("name, game", list(_differential_games()))
+@pytest.mark.parametrize("name, game, rhos", list(_differential_games()))
 class TestMatchesFractionReference:
     """Exact results equal the former ``Fraction`` potential's, and float
     results match it bit for bit."""
 
-    def test_shapley(self, name, game):
+    def test_shapley(self, name, game, rhos):
         for mask in range(1, game.num_coalitions):
             assert _same(shapley(game, mask), potential_shapley(game, mask)), mask
 
-    def test_scaled_rho_shapley(self, name, game):
-        for rho in DIFFERENTIAL_RHOS:
+    def test_scaled_rho_shapley(self, name, game, rhos):
+        for rho in rhos:
             got = scaled_rho_shapley(game, rho).matrix
             assert _same(got, potential_scaled_rho_shapley(game, rho)), rho
 
-    def test_comparison_report(self, name, game):
-        for rho in DIFFERENTIAL_RHOS:
+    def test_comparison_report(self, name, game, rhos):
+        for rho in rhos:
             got = compare_mechanisms(game, rho)
             want = eager_compare_mechanisms(game, rho)
             for field in EagerComparison._fields:
                 assert _same(getattr(got, field), getattr(want, field)), (rho, field)
             assert _same(got.scaled, potential_scaled_rho_shapley(game, rho)), rho
+
+
+@pytest.mark.parametrize("rho", [Fraction(1, 2), RHO_IRRATIONAL])
+def test_float_exponent_past_the_float_range_is_refused(rho):
+    for call in (scaled_rho_shapley, compare_mechanisms):
+        with pytest.raises(BadParamsError, match="pass the float range"):
+            call(HUGE_GAME, rho)
 
 
 def test_wide_denominator_passes_256_bits():
@@ -305,3 +340,34 @@ def test_reports_of_one_game_are_equal_and_hashable(rho):
     first.entry_diffs
     assert first == second and hash(first) == hash(second)
     assert first != compare_mechanisms(random_monotone_game(5, 2), rho)
+
+
+def test_kept_triples_stay_small():
+    """What ``compare`` keeps per player count: the triples of every size,
+    up to ``_CACHED_PLAYERS``, under 2 MB together; larger games, up to
+    n=14, build theirs per call and keep nothing."""
+    for n in range(1, 15):
+        _levels(n)  # the solver's own tables, pinned by their own test
+    _cached_triples.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(1, 15):
+            triples = sum(len(block.masks) for block in _triple_blocks(n))
+            assert triples == math.comb(n, 2) << max(n - 2, 0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * 2**20, kept
+
+
+def test_triples_built_per_call_match_the_kept_ones(monkeypatch):
+    games = [random_monotone_game(n, 7) for n in range(2, 8)]
+    games += [random_monotone_game(6, 8, 10.0 / 3), counterexample3_game()]
+    kept = [
+        (pair_residuals(scaled_rho_shapley(g, 1).matrix), compare_mechanisms(g, 1)) for g in games
+    ]
+    monkeypatch.setattr(baselines, "_CACHED_PLAYERS", 1)
+    for game, (residuals, report) in zip(games, kept):
+        assert pair_residuals(scaled_rho_shapley(game, 1).matrix) == residuals
+        assert compare_mechanisms(game, 1) == report

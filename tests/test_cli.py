@@ -477,6 +477,40 @@ class TestCompare:
         assert result.exit_code == 2  # structural usage error
 
 
+class TestPastTheFloatRange:
+    """An exact game whose values pass the float range keeps its exact
+    report at rho = 1, and any other exponent is an input error."""
+
+    @pytest.fixture()
+    def huge_path(self, tmp_path, runner):
+        path = tmp_path / "huge.json"
+        args = ["gen", "--family", "additive", "--weights", "1e400,2e400,3e400", "-o", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return path
+
+    @pytest.mark.parametrize("command", ["shapley", "compare"])
+    def test_float_exponent_exits_1(self, runner, huge_path, command):
+        result = runner.invoke(main, [command, str(huge_path), "--rho", "1/2"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: rho = 1/2 needs float arithmetic, "
+            "but this game's values pass the float range\n"
+        )
+
+    def test_rho_one_report_stays_exact(self, runner, huge_path):
+        result = runner.invoke(main, ["compare", str(huge_path), "--rho", "1"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == [
+            "rho: 1",
+            "unbalanced (coalition, pair) triples: 5 of 6",
+            f"max reciprocity residual: {10**400}",
+            "  at coalition {1,2,3}, pair (2, 3)",
+            f"max entrywise difference from balanced table: {10**400}",
+        ]
+
+
 def _braced(labels, mask):
     return "{" + coalition_key(labels, mask) + "}"
 
