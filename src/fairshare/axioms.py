@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, permutations, repeat
-from operator import add, eq, le, sub
+from operator import add, eq, le, sub, truediv
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
@@ -87,18 +87,27 @@ def default_tolerance(*tables: Game | RewardMatrix) -> Tolerance:
     return Tolerance(_rounding=not all(t.exact for t in tables))
 
 
-def _slacks(tol: Tolerance | None, values: Iterable, *tables: Game | RewardMatrix) -> list:
+def _slacks(
+    tol: Tolerance | None, *tables: Game | RewardMatrix, values: Iterable | None = None
+) -> list:
     """Per coalition mask, the slack every verdict on it allows under ``tol``
-    (by default the tables' ``default_tolerance``), with v(C) from ``values``.
+    (by default the tables' ``default_tolerance``), with v(C) from
+    ``values``, or else from the first table, a game.
 
     The rounding rule's ``8·n·2⁻⁵²·v(C)`` bounds the rounding of sums and
     differences of about n terms, each at most v(C) in a monotone game
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 2-3).
+    No other rule reads v(C).
     """
     tol = tol or default_tolerance(*tables)
     n = tables[0].n_players
     if tol._rounding:
         ulps = 8 * n * 2.0**-52
+        if values is None:
+            values, d = tables[0]._numerators, tables[0]._denominator
+            if d is not None:
+                # ints over d divide to the correctly rounded float(Fraction)
+                values = map(truediv, values, repeat(d))
         return [ulps * float(v) for v in values]
     return [tol.epsilon or 0] * (1 << n)
 
@@ -239,7 +248,7 @@ def _numbers(game: Game, matrix: RewardMatrix, tol: Tolerance | None) -> _Number
         raise DimensionMismatchError(
             f"matrix has {matrix.n_players} players, game has {game.n_players}"
         )
-    eps = _slacks(tol, game.values, game, matrix)
+    eps = _slacks(tol, game, matrix)
     no_slack = not any(eps)
     exact = no_slack and game.exact and matrix.exact
     runs = _runs(game.n_players)
@@ -612,7 +621,7 @@ def check_strict_monotonicity_pair(
     if not 0 <= player < n or not coalition & (1 << player):
         raise OutOfRangeError(f"player {player} is not a member of the coalition")
     v, v2 = game_before.values, game_after.values
-    eps = _slacks(tol, map(max, v, v2), game_before, game_after)
+    eps = _slacks(tol, game_before, game_after, values=map(max, v, v2))
     bit = 1 << player
 
     if not v2[coalition] - v[coalition] > eps[coalition]:

@@ -570,7 +570,7 @@ def _float_summary(
         b_rows = [list(map(truediv, row, repeat(d))) for row in b_rows]
     elif balanced.exact:  # past the denominator cap
         b_rows = balanced.as_float()._numerators
-    eps = _slacks(None, game.values, game, table)
+    eps = _slacks(None, game, table)
 
     flat = list(chain.from_iterable(rows))
     unbalanced = 0

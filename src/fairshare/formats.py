@@ -29,11 +29,15 @@ floats to 12 significant digits. One cell reader reads all three shapes,
 and any fault in a cell has one form, naming the cell by player label and
 coalition key: "bad number for player '1', coalition '1,2': 'x'".
 
-Exact numbers are read as int pairs (p, q) in lowest terms, game files
-and reward tables alike, with the spellings and checks of
-``Fraction(text)``. The cell reader reads each distinct token once, and
-stores an exact table as ints over the lcm of its denominators, the form
-``RewardMatrix`` keeps, without a ``Fraction`` per cell.
+Exact numbers are read with the spellings and checks of
+``Fraction(text)``, game files and reward tables alike, and stored as ints
+over the lcm of their denominators, the form ``Game`` and ``RewardMatrix``
+keep, without a ``Fraction`` per number. A game file whose keys are the
+canonical ones, in any order, and whose tokens are JSON ints or "p/q"
+strings (finite JSON numbers in float mode) is read with C-level maps
+straight into that form; any other file is read key by key, one token at
+a time as an int pair (p, q) in lowest terms, and reports its first fault.
+The cell reader reads each distinct token of a table once.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, islice, repeat
-from operator import itemgetter, not_
+from itertools import compress, count, groupby, islice, repeat
+from operator import floordiv, itemgetter, mul, not_, or_
 
 from .errors import FileFormatError, NotMonotoneError
 from .games import _MAX_DENOMINATOR_BITS, Game, Scalar, _check_player_count, members
@@ -66,25 +70,23 @@ def coalition_key(labels: tuple[str, ...], mask: int) -> str:
 
 
 def _coalition_keys(labels: tuple[str, ...]) -> list[str]:
-    """``coalition_key(labels, mask)`` for every mask, one join each.
+    """``coalition_key(labels, mask)`` for every mask, by doubling.
 
-    Masks are walked over the players in label order, where adding the
-    last-sorted member appends its label to the key of the rest.
+    Over the players in label order, the keys of the coalitions that add
+    the next player are those of the coalitions before it with its label
+    appended, since it sorts last. Each doubling is one C-level map, and so
+    is the step from that order to mask order.
     """
-    width = 1 << len(labels)
     by_label = sorted(range(len(labels)), key=labels.__getitem__)
-    sorted_keys = [""] * width
-    mask_of = [0] * width
-    keys = [""] * width
-    for r in range(1, width):
-        top = r.bit_length() - 1
-        rest = r ^ 1 << top
-        player = by_label[top]
-        key = sorted_keys[rest] + "," + labels[player] if rest else labels[player]
-        sorted_keys[r] = key
-        mask = mask_of[r] = mask_of[rest] | 1 << player
-        keys[mask] = key
-    return keys
+    in_label_order = [""]
+    for player in by_label:
+        label = labels[player]
+        in_label_order += [label, *map(str.__add__, in_label_order[1:], repeat("," + label))]
+    # where each mask's coalition sits in label order: bit r for the label ranked r
+    position = [0]
+    for rank in sorted(range(len(labels)), key=by_label.__getitem__):
+        position += [*map(or_, position, repeat(1 << rank))]
+    return list(map(in_label_order.__getitem__, position))
 
 
 def _keys_in_order(labels: tuple[str, ...]) -> tuple[list[str], list[int]]:
@@ -145,7 +147,8 @@ class _KeyMasks(dict):
     """Coalition key -> mask over ``labels``, each key parsed on first use.
 
     A key whose spelling less its last label is already known costs one
-    lookup; files list coalitions by size, so that is nearly every key.
+    lookup. That is nearly every key when a file lists coalitions by size,
+    as the writers do, or by mask, as perfbench's ``game_json`` does.
     The dict keeps the caller's key strings: seeding it with the canonical
     keys instead would hold a second copy of each while the parsed
     document holds its own (1.1 MB at n=14).
@@ -309,10 +312,99 @@ def _read_header(text: str, what: str, body: str, *optional: str):
 def parse_game(text: str) -> GameDocument:
     """Parse a game file; raises FileFormatError or a game validation error."""
     labels, mode, doc = _read_header(text, "game file", "values")
+    try:
+        game = _read_stored(labels, mode, doc["values"])
+        if game is None:
+            game = _read_by_key(labels, mode, doc["values"])
+    except NotMonotoneError as exc:
+        sub = coalition_key(labels, exc.subset) or "(empty)"
+        sup = coalition_key(labels, exc.superset)
+        raise NotMonotoneError(
+            exc.subset,
+            exc.superset,
+            f"not monotone: coalition {{{sub}}} is worth more than its superset {{{sup}}}",
+        ) from None
+    return GameDocument(game, labels, mode)
+
+
+def _read_stored(labels: tuple[str, ...], mode: str, values: dict) -> Game | None:
+    """The game of a "values" object that every screen below clears, read
+    with C-level maps straight into ``Game._stored``; None when a screen
+    fails, and the object is read key by key instead.
+
+    The keys must be the canonical ones, in any order: each mask's key is
+    looked up once in ``values``. In rational mode every token must be a
+    JSON int, or a string "p/q" of decimal digits with q not 0, which
+    ``_exact_ratio`` reads with ``int`` too. The tokens are scaled to the
+    lcm D of their stated denominators and then reduced by
+    g = gcd(D, N₁, …, N_k): as lcmᵢ(D / gcd(Nᵢ, D)) = D / g, that gives
+    the least common denominator ``Game`` would find. A D past the
+    denominator cap goes key by key, where ``Game`` decides. In float mode
+    every token must be a JSON number that ``float`` reads as a finite
+    double; zeros are read again by ``_decimal_float`` for its rule on
+    signed zeros.
+    """
+    keys = _coalition_keys(labels)
+    if len(values) != len(keys) - ("" not in values):
+        return None
+    raw = list(map(values.get, keys))
+    if "" not in values:
+        raw[0] = 0
+    types = set(map(type, raw))  # NoneType for a key not in canonical form
+    n = len(labels)
+    if mode == FLOAT:
+        if not types <= {_JsonDecimal, int}:
+            return None
+        try:
+            floats = list(map(float, raw))
+        except OverflowError:  # an int too large for a float
+            return None
+        if not all(map(math.isfinite, floats)):
+            return None
+        for mask in list(compress(count(), map(not_, floats))):
+            floats[mask] = _decimal_float(str(raw[mask]))
+        return Game._stored(n, tuple(floats), None)
+    if not types <= {int, str}:
+        return None
+    is_text = list(map(isinstance, raw, repeat(str)))
+    texts = list(compress(raw, is_text))
+    # each text must be "p/q": one "/" between two runs of decimal digits
+    parts = "/".join(texts).split("/") if texts else []
+    if (
+        len(parts) != 2 * len(texts)
+        or not all(map(str.__contains__, texts, repeat("/")))
+        or not all(map(str.isdecimal, parts))
+    ):
+        return None
+    nums, dens = parts[0::2], parts[1::2]
+    try:  # int() refuses digits past Python's limit
+        den_of = {text: int(text) for text in set(dens)}
+        d = math.lcm(*den_of.values())
+        if not d or d.bit_length() > _MAX_DENOMINATOR_BITS:
+            return None
+        factor = {text: d // q for text, q in den_of.items()}
+        # the ints and the texts, each scaled to d, merged back in mask order
+        sources = (
+            map(mul, compress(raw, map(not_, is_text)), repeat(d)),
+            map(mul, map(int, nums), map(factor.__getitem__, dens)),
+        )
+        scaled = list(map(next, map(sources.__getitem__, is_text)))
+    except ValueError:
+        return None
+    g = math.gcd(d, *scaled)
+    if g > 1:
+        scaled = list(map(floordiv, scaled, repeat(g)))
+        d //= g
+    return Game._stored(n, tuple(scaled), d)
+
+
+def _read_by_key(labels: tuple[str, ...], mode: str, values: dict) -> Game:
+    """The game of any "values" object, one key and one token at a time,
+    each fault reported as the first key that shows it."""
     n = len(labels)
     mask_of = _KeyMasks(labels)
     table: list[Scalar | None] = [None] * (1 << n)
-    for key, raw in doc["values"].items():
+    for key, raw in values.items():
         mask = mask_of[key]
         if table[mask] is not None:
             raise FileFormatError(
@@ -330,17 +422,7 @@ def parse_game(text: str) -> GameDocument:
             raise FileFormatError(
                 f"missing coalition value {coalition_key(labels, mask)!r}"
             )
-    try:
-        game = Game(n, tuple(table))
-    except NotMonotoneError as exc:
-        sub = coalition_key(labels, exc.subset) or "(empty)"
-        sup = coalition_key(labels, exc.superset)
-        raise NotMonotoneError(
-            exc.subset,
-            exc.superset,
-            f"not monotone: coalition {{{sub}}} is worth more than its superset {{{sup}}}",
-        ) from None
-    return GameDocument(game, labels, mode)
+    return Game(n, tuple(table))
 
 
 # The writers build each document from C-level maps and one join: every

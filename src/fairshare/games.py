@@ -15,9 +15,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress
-from operator import attrgetter, le, not_
+from functools import cached_property, lru_cache
+from itertools import compress, count, repeat
+from operator import attrgetter, le, lt, not_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -198,11 +198,19 @@ def first_monotonicity_violation(values: Sequence[Scalar]) -> tuple[int, int] | 
     single-player removals suffices: any violating subset chain contains a
     violating single step.
     """
-    bad = _least_failure(
-        (run.i, run.masks, map(le, values[run.without_i], values[run.with_i]))
+    failing = [
+        run
         for run in _runs(len(values).bit_length() - 1)
+        if not all(map(le, values[run.without_i], values[run.with_i]))
+    ]
+    if not failing:
+        return None
+    # only a failing run's entries are screened one by one, for the witness
+    mask, i = _least_failure(
+        (run.i, run.masks, map(le, values[run.without_i], values[run.with_i]))
+        for run in failing
     )
-    return None if bad is None else (bad[0] ^ 1 << bad[1], bad[0])
+    return mask ^ 1 << i, mask
 
 
 def is_monotone(values: Sequence) -> bool:
@@ -213,7 +221,7 @@ def is_monotone(values: Sequence) -> bool:
     return first_monotonicity_violation(_coerce_values(values)) is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Game:
     """A validated monotone cooperative game.
 
@@ -221,41 +229,82 @@ class Game:
     a zero-valued empty coalition, so downstream code can rely on those
     facts without rechecking.
 
-    It also keeps the exact values in the form every loop computes with:
+    It keeps the exact values in the form every loop computes with:
     ``_numerators`` are ints over ``_denominator`` (see
-    ``_over_common_denominator``). When ``_denominator`` is None, the
-    values are floats or past the denominator cap, and ``_numerators`` are
-    the values themselves.
+    ``_over_common_denominator``), and ``values`` gives them as Fractions,
+    built on first read and then kept, unless the constructor was given
+    them. When ``_denominator`` is None, the values are floats or past the
+    denominator cap, and ``_numerators`` are the values themselves.
     """
 
     n_players: int
-    values: tuple[Scalar, ...]
+    _numerators: tuple
+    _denominator: int | None
 
-    def __post_init__(self):
-        if not isinstance(self.n_players, int) or not 1 <= self.n_players <= MAX_PLAYERS:
+    def __init__(self, n_players: int, values: Sequence):
+        if not isinstance(n_players, int) or not 1 <= n_players <= MAX_PLAYERS:
             raise BadParamsError(
-                f"n_players must be an int in [1, {MAX_PLAYERS}], got {self.n_players!r}"
+                f"n_players must be an int in [1, {MAX_PLAYERS}], got {n_players!r}"
             )
-        values = _coerce_values(tuple(self.values))
-        object.__setattr__(self, "values", values)
-        if len(values) != 1 << self.n_players:
+        values = _coerce_values(tuple(values))
+        if len(values) != 1 << n_players:
             raise BadLengthError(
-                f"expected {1 << self.n_players} values for {self.n_players} players, "
+                f"expected {1 << n_players} values for {n_players} players, "
                 f"got {len(values)}"
             )
-        (compared,), d = _over_common_denominator((values,))
-        object.__setattr__(self, "_numerators", compared)
+        (numerators,), d = _over_common_denominator((values,))
+        object.__setattr__(self, "n_players", n_players)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_numerators", numerators)
         object.__setattr__(self, "_denominator", d)
-        if compared[0] != 0:
+        self._validate()
+
+    @classmethod
+    def _stored(cls, n_players: int, numerators: tuple, denominator: int | None) -> "Game":
+        """A game from ``2**n_players`` values already in stored form, over
+        the least common denominator of the values, as the public
+        constructor would find; checked as that constructor checks."""
+        game = object.__new__(cls)
+        object.__setattr__(game, "n_players", n_players)
+        object.__setattr__(game, "_numerators", numerators)
+        object.__setattr__(game, "_denominator", denominator)
+        game._validate()
+        return game
+
+    def _validate(self) -> None:
+        """The empty coalition's value, signs and monotonicity, on the
+        stored values."""
+        stored = self._numerators
+        if stored[0] != 0:
             raise EmptyNotZeroError("the empty coalition must have value 0")
-        for mask, x in enumerate(compared):
-            if x < 0:
-                raise NegativeValueError(
-                    f"coalition mask {mask} has negative value {values[mask]}"
-                )
-        violation = first_monotonicity_violation(compared)
+        if min(stored) < 0:
+            mask = next(compress(count(), map(lt, stored, repeat(0))))
+            raise NegativeValueError(
+                f"coalition mask {mask} has negative value {self.value(mask)}"
+            )
+        violation = first_monotonicity_violation(stored)
         if violation is not None:
             raise NotMonotoneError(*violation)
+
+    @cached_property
+    def values(self) -> tuple[Scalar, ...]:
+        d = self._denominator
+        if d is None:
+            return self._numerators
+        # coalitions often share a value: one Fraction serves them
+        entry = {p: Fraction(p, d) for p in set(self._numerators)}
+        return tuple(map(entry.__getitem__, self._numerators))
+
+    def __eq__(self, other):
+        if not isinstance(other, Game):
+            return NotImplemented
+        return self.n_players == other.n_players and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.n_players, self.values))
+
+    def __repr__(self):
+        return f"Game(n_players={self.n_players!r}, values={self.values!r})"
 
     @property
     def num_coalitions(self) -> int:
@@ -268,14 +317,15 @@ class Game:
     @property
     def exact(self) -> bool:
         """True when values are exact rationals rather than floats."""
-        return not isinstance(self.values[0], float)
+        return self._denominator is not None or not isinstance(self._numerators[0], float)
 
     def value(self, coalition: int) -> Scalar:
-        return self.values[coalition]
+        x = self._numerators[coalition]
+        return x if self._denominator is None else Fraction(x, self._denominator)
 
     def solo_value(self, player: int) -> Scalar:
         """Value the player earns alone, v({i})."""
-        return self.values[1 << player]
+        return self.value(1 << player)
 
     def as_float(self) -> "Game":
         """The same game with every value converted to float."""

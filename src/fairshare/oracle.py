@@ -35,7 +35,7 @@ def agree_up_to_rounding(game: Game, a: RewardMatrix, b: RewardMatrix) -> bool:
     column by more than the game's default slack for C: ``8·n·2⁻⁵²·v(C)``
     for a float game, none for an exact one, whose tables must be equal.
     """
-    return _agree(_slacks(None, game.values, game), a, b)
+    return _agree(_slacks(None, game), a, b)
 
 
 def _agree(eps, a: RewardMatrix, b: RewardMatrix) -> bool:
@@ -85,7 +85,7 @@ def brute_force_solve(game: Game) -> OracleResult:
     rows = [[v[1 << i]] * (1 << n) for i in range(n)]
     feasible: dict[int, tuple[int, ...]] = {}
     unique = True
-    eps = _slacks(None, game.values, game)
+    eps = _slacks(None, game)
 
     for mask in coalitions_by_size(n, min_size=2):
         v_c = v[mask]
@@ -150,7 +150,7 @@ def global_enumeration_solve(game: Game) -> list[RewardMatrix]:
     v = game._numerators
     n = game.n_players
     tol = default_tolerance(game)
-    eps = _slacks(tol, game.values, game)
+    eps = _slacks(tol, game)
     # per coalition: its mask, value, the range filter's [-slack, v(C) +
     # slack] and, per candidate k, the (i, C∖i, C∖k) index triples that
     # fill the other members' entries

@@ -33,7 +33,8 @@ from fairshare import (
     serialize_matrix,
     solve,
 )
-from fairshare.formats import _KeyMasks
+from fairshare import formats
+from fairshare.formats import _coalition_keys, _KeyMasks, _read_header, _read_stored
 from reference import (
     _parse_coalition_key,
     column,
@@ -1070,3 +1071,129 @@ class TestScalarRendering:
     def test_floats(self):
         assert format_scalar(2.1035940000000003) == "2.103594"
         assert format_scalar(1 / 3) == "0.333333333333"
+
+
+def _game_outcome(text: str):
+    """What ``parse_game`` makes of ``text``: its values by repr, with their
+    types, its stored form, labels and number mode, or its error's class and
+    full text."""
+    try:
+        doc = parse_game(text)
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+    game = doc.game
+    values = game.values
+    return (
+        repr(values),
+        tuple(map(type, values)),
+        game._numerators,
+        game._denominator,
+        doc.labels,
+        doc.number_mode,
+    )
+
+
+def _stored_read(text: str):
+    """The stored read of a game file alone: its game, or None where its
+    screens send the file to the key-by-key read."""
+    labels, mode, doc = _read_header(text, "game file", "values")
+    return _read_stored(labels, mode, doc["values"])
+
+
+def _with_values(text: str, values: dict) -> str:
+    doc = json.loads(text)
+    doc["values"] = values
+    return json.dumps(doc, indent=2)
+
+
+def _key_orders(text: str, seed: int) -> dict[str, str]:
+    """A game file in canonical key order, in ascending mask order (the
+    layout of perfbench's ``game_json``) and shuffled."""
+    labels = parse_game(text).labels
+    values = json.loads(text)["values"]
+    by_mask = sorted(values, key=lambda k: sum(1 << labels.index(x) for x in k.split(",")))
+    shuffled = list(values)
+    random.Random(seed).shuffle(shuffled)
+    return {
+        "canonical": text,
+        "mask": _with_values(text, {k: values[k] for k in by_mask}),
+        "shuffled": _with_values(text, {k: values[k] for k in shuffled}),
+    }
+
+
+# Spellings off the canonical writers' forms, at the grand coalition; each
+# reads as 5000 or more or is a bad number, so any game stays monotone.
+OFF_FORM_TOKENS = [" 5000 ", "+5000", "10000/4", "1_000_000", "٥٠٠٠", "5000.5", "1e5", "5/0"]
+
+
+class TestStoredRead:
+    """``parse_game`` reads a file whose keys and tokens its screens clear
+    straight into ``Game._stored``, and any other file key by key. Both
+    reads give the same game, or the same error, on the same file."""
+
+    @staticmethod
+    def _by_key(monkeypatch, text: str):
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, "_read_stored", lambda *args: None)
+            return _game_outcome(text)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_key_order(self, monkeypatch, n, mode):
+        scale = Fraction(10, 3) if mode == "rational" else 10.0 / 3
+        game = random_monotone_game(n, n, scale)
+        # labels whose sorted order is not the players' order
+        labels = default_labels(n) if n % 2 else tuple(f"p{12 - i}" for i in range(n))
+        text = serialize_game(GameDocument(game, labels, mode))
+        for order, variant in _key_orders(text, n).items():
+            assert _stored_read(variant) is not None, order
+            outcome = _game_outcome(variant)
+            assert outcome == self._by_key(monkeypatch, variant), order
+            assert outcome[2:4] == (game._numerators, game._denominator), order
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_off_form_twins(self, monkeypatch, n, mode):
+        scale = Fraction(10, 3) if mode == "rational" else 10.0 / 3
+        game = random_monotone_game(n, n, scale)
+        text = serialize_game(GameDocument(game, default_labels(n), mode))
+        values = json.loads(text)["values"]
+        twins = []
+        if n > 1:
+            values_21 = {("2,1" if k == "1,2" else k): x for k, x in values.items()}
+            assert _stored_read(_with_values(text, values_21)) is None
+            twins.append(_with_values(text, values_21))
+            # a string with no "/" and one with two: as many "/" as strings
+            twins.append(_with_values(text, {**values, "1": "0/1/1", "2": "5000"}))
+        grand = coalition_key(default_labels(n), (1 << n) - 1)
+        for token in OFF_FORM_TOKENS:
+            for raw in (token, json.loads(token) if _is_json_number(token) else None):
+                if raw is not None:
+                    twins.append(_with_values(text, {**values, grand: raw}))
+        for twin in twins:
+            assert _game_outcome(twin) == self._by_key(monkeypatch, twin), twin
+
+    def test_float_zeros_stay_on_the_stored_read(self, monkeypatch):
+        # an exact zero has no sign, an underflow keeps its own
+        text = (
+            '{"players": 3, "number_mode": "float", "values": {"1": 0.0, "2": -0.0, '
+            '"3": -1e-400, "1,2": 0, "1,3": 1.5, "2,3": 2.0, "1,2,3": 4}}'
+        )
+        assert _stored_read(text) is not None
+        outcome = _game_outcome(text)
+        assert outcome == self._by_key(monkeypatch, text)
+        assert outcome[0] == "(0.0, 0.0, 0.0, 0.0, -0.0, 1.5, 2.0, 4.0)"
+
+    def test_denominator_past_the_cap(self, monkeypatch):
+        game = additive_game([Fraction(1, 2**p - 1) for p in (89, 107, 127)])
+        text = serialize_game(GameDocument(game, default_labels(3), "rational"))
+        assert _stored_read(text) is None
+        outcome = _game_outcome(text)
+        assert outcome == self._by_key(monkeypatch, text)
+        assert outcome[3] is None
+        assert parse_game(text).game == game
+
+    def test_keys_match_coalition_key(self):
+        for labels in [("1",), default_labels(11), ("b", "a", "10", "9", "x y", "%")]:
+            keys = _coalition_keys(labels)
+            assert keys == [coalition_key(labels, m) for m in range(1 << len(labels))]

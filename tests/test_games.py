@@ -13,6 +13,7 @@ from fairshare import (
     NotMonotoneError,
     SizeLimitExceededError,
     additive_game,
+    check_all,
     coalitions_by_size,
     counterexample3_game,
     coverage_game,
@@ -390,3 +391,63 @@ class TestRaiseCoalitionValue:
         for delta in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(BadParamsError):
                 raise_coalition_value(example1.as_float(), 0b0101, delta)
+
+
+def _stored_form(values):
+    """``values`` as ``Game`` stores them: (numerators, denominator)."""
+    (numerators,), d = games._over_common_denominator((games._coerce_values(values),))
+    return numerators, d
+
+
+class TestStoredGame:
+    """``Game._stored`` takes values already in stored form, checks them as
+    ``Game`` does, and builds its Fraction view only when it is read."""
+
+    @staticmethod
+    def _games():
+        rng = random.Random(7)
+        yield example1_game()
+        yield Game(1, (0, 0))
+        for n in range(1, 9):
+            yield random_monotone_game(n, n, Fraction(10, 3))
+            yield random_monotone_game(n, n, 10.0 / 3)
+        yield Game(8, _big_denominator_values(8, rng))
+
+    def test_same_game_either_way(self):
+        for game in self._games():
+            stored = Game._stored(game.n_players, game._numerators, game._denominator)
+            assert "values" not in vars(stored)
+            assert stored.exact == game.exact
+            assert stored.value(3 % game.num_coalitions) == game.value(3 % game.num_coalitions)
+            assert stored == game and game == stored
+            assert hash(stored) == hash(game)
+            assert repr(stored) == repr(game)
+            assert stored.values == game.values
+            assert list(map(type, stored.values)) == list(map(type, game.values))
+
+    @pytest.mark.parametrize("scale", [Fraction(10, 3), 10.0 / 3])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_same_errors_either_way(self, n, scale):
+        rng = random.Random(300 + n)
+        stored = lambda v: Game._stored(n, *_stored_form(v))
+        for seed in range(10):
+            values = list(random_monotone_game(n, seed, scale).values)
+            for bad in (_tampered(values, rng), [values[-1] + 1, *values[1:]]):
+                bad = [type(values[0])(x) for x in bad]
+                expected = _raised(lambda v: Game(n, v), bad)
+                assert expected is not None
+                assert _raised(stored, bad) == expected
+
+    def test_parsed_game_keeps_its_fraction_view_unbuilt(self):
+        # the solve path and an exact check read the stored ints alone
+        labels = formats.default_labels(12)
+        text = formats.serialize_game(
+            formats.GameDocument(random_monotone_game(12, 5), labels, "rational")
+        )
+        game = formats.parse_game(text).game
+        matrix = solve(game).matrix
+        for form in ("table", "long", "json"):
+            formats.serialize_matrix(formats.MatrixDocument(matrix, labels, "rational"), form)
+        assert check_all(game, matrix).all_pass
+        assert "values" not in vars(game)
+        assert "rewards" not in vars(matrix)
