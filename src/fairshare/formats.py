@@ -268,6 +268,25 @@ def _read_json_number(raw, mode: str) -> tuple[int, int] | float:
 
 
 def _json_loads(text: str):
+    """A JSON document, its decimals kept as ``_JsonDecimal`` text and any
+    repeated key rejected.
+
+    A colon in JSON text either ends an object member's key or sits inside
+    a string. So when the text holds as many colons as the plain decode
+    has members in the top-level object, the objects among its values and
+    theirs (``_members``), no object repeated a key and every object
+    deeper down is empty: that decode, with no Python call per object, is
+    the document. Any other text is decoded again with a hook that finds
+    the repeat, and it raises any error the plain decode met.
+    """
+    try:
+        doc = json.loads(text, parse_float=_JsonDecimal)
+    except (ValueError, RecursionError):
+        pass
+    else:
+        if text.count(":") == _members(doc):
+            return doc
+
     def reject_duplicates(pairs):
         out = dict(pairs)
         if len(out) != len(pairs):
@@ -286,6 +305,23 @@ def _json_loads(text: str):
         raise FileFormatError(f"not valid JSON: {exc}") from None
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise FileFormatError(f"bad number: {str(exc).partition(';')[0]}") from None
+    except RecursionError:
+        raise FileFormatError("not valid JSON: nested too deeply") from None
+
+
+def _members(doc) -> int:
+    """The members of ``doc``, when it is an object, of the objects among
+    its values, and of theirs where every value of an object is one."""
+    if type(doc) is not dict:
+        return 0
+    count = len(doc)
+    for value in doc.values():
+        if type(value) is dict:
+            count += len(value)
+            inner = value.values()
+            if set(map(type, inner)) == {dict}:
+                count += sum(map(len, inner))
+    return count
 
 
 def _read_header(text: str, what: str, body: str, *optional: str):

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -28,6 +29,7 @@ from fairshare import (
     shapley,
     solve,
 )
+from fairshare import axioms
 from fairshare.axioms import _numbers, _potential
 from fairshare.games import _MAX_DENOMINATOR_BITS
 from fairshare.oracle import agree_up_to_rounding
@@ -849,3 +851,189 @@ class TestPremiseReferences:
                             )
                             seen.add(result.verdict)
         assert {Verdict.PASS, Verdict.PREMISE_NOT_MET} <= seen
+
+
+@pytest.fixture()
+def screened(monkeypatch):
+    """F5 screens float tables at every player count."""
+    monkeypatch.setattr(axioms, "_SCREENED_PLAYERS", 2)
+
+
+def _assert_same_f5(result, expected):
+    # repr, so that NaN gains compare equal
+    assert repr(result) == repr(expected)
+    assert _witness_types(result) == _witness_types(expected)
+
+
+def _level_game(n: int, seed: int, increment) -> Game:
+    """v(C) = max_i v(C∖i) + increment(rng), level by level."""
+    rng = random.Random(seed)
+    values = [0.0] * (1 << n)
+    for mask in sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m)):
+        values[mask] = max(values[mask ^ 1 << i] for i in members(mask)) + increment(rng)
+    return Game(n, values)
+
+
+def _near_max(n):
+    return lambda rng: rng.uniform(0, 1.7e308 / (2 * n))
+
+
+def _log_uniform(seed):
+    lo, hi = ((-300, 300), (-20, 20), (-150, 150), (0, 300))[seed % 4]
+    return lambda rng: 0.0 if rng.random() < 0.3 else 10 ** rng.uniform(lo, hi)
+
+
+def _moved(matrix, cells, delta):
+    """``matrix`` with each (player, mask, sign) entry moved by sign·delta."""
+    for i, mask, sign in cells:
+        matrix = matrix.replace_entry(i, mask, matrix.rewards[i][mask] + sign * delta)
+    return matrix
+
+
+def _aligned(c, i, j):
+    """The four entries of pair (i, j) on c, moved so that their mismatches
+    add up in the pair's residual."""
+    return ((i, c, 1), (i, c ^ 1 << j, -1), (j, c, -1), (j, c ^ 1 << i, 1))
+
+
+def _scan_boundary(game, matrix, cells, tol=None):
+    """The largest float move of ``cells`` that the reference pair scan
+    passes, and the next float, which it fails: bisected on the bit
+    patterns of positive floats, which ascend with them."""
+    as_float = lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]  # noqa: E731
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", float(game.values[-1])))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        moved = _moved(matrix, cells, as_float(mid))
+        if reference.check_balanced_reciprocity(game, moved, tol).passed:
+            lo = mid
+        else:
+            hi = mid
+    return as_float(lo), as_float(hi)
+
+
+@pytest.mark.usefixtures("screened")
+class TestFloatBalancedReciprocityScreen:
+    """F5 on a float table screens coalitions with a bound on its dyadic
+    ints and scans the rest: it gives the verdicts, witnesses and witness
+    types of the pair scan in tests/reference.py."""
+
+    @staticmethod
+    def assert_agree(game, matrix, tol=None):
+        expected = reference.check_balanced_reciprocity(game, matrix, tol)
+        _assert_same_f5(check_axiom("F5", game, matrix, tol), expected)
+        _assert_same_f5(check_all(game, matrix, tol)["F5"], expected)
+        return expected
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_solver_tables_on_dyadic_and_non_dyadic_scales(self, n):
+        rng = random.Random(n)
+        seen = set()
+        scales = (10.0, 1.0, *(10.0**k / 3 for k in (-6, 0, 6, 12)))
+        for seed in range(3 if n < 10 else 1):
+            for scale in scales if n < 10 else scales[::2]:
+                g = random_monotone_game(n, seed, scale)
+                matrix = solve(g).matrix
+                assert self.assert_agree(g, matrix).passed
+                mask = rng.randrange(3, g.num_coalitions)
+                i = rng.choice(members(mask))
+                e = reference.rounding_ulps(n) * g.values[mask]
+                for delta in (1e-6 * g.values[mask], e / 2):
+                    seen.add(self.assert_agree(g, _moved(matrix, [(i, mask, 1)], delta)).passed)
+        assert seen == {True, False} or n == 2
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_largest_tables_against_the_forced_scan(self, n, monkeypatch):
+        for scale in (10.0, 10.0 / 3):
+            g = random_monotone_game(n, 5, scale)
+            matrix = solve(g).matrix
+            grand = g.grand_coalition
+            bad = _moved(matrix, [(n - 1, grand, 1)], 1e-3)
+            for table in (matrix, bad):
+                nums = _numbers(g, table, None)
+                screened = axioms._balanced_reciprocity(nums)
+                monkeypatch.setattr(axioms, "_SCREENED_PLAYERS", n + 1)
+                _assert_same_f5(screened, axioms._balanced_reciprocity(nums))
+                monkeypatch.setattr(axioms, "_SCREENED_PLAYERS", 2)
+                assert screened.passed is (table is matrix)
+            assert not axioms._unscreened(_numbers(g, matrix, None))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_near_max_and_log_uniform_games(self, n):
+        for seed in range(8):
+            for increment in (_near_max(n), _log_uniform(seed)):
+                g = _level_game(n, seed, increment)
+                self.assert_agree(g, solve(g).matrix)
+
+    def test_moves_one_ulp_around_the_slack_boundary(self):
+        seen = set()
+        for g in random_games([3, 5, 8], 1, seed0=4600):
+            for scale in (1.0, 1 / 3):
+                form = Game(g.n_players, [float(v) * scale for v in g.values])
+                matrix = solve(form).matrix
+                grand = form.grand_coalition
+                i, j = form.n_players - 2, form.n_players - 1
+                for cells in ([(j, grand, 1)], _aligned(grand, i, j)):
+                    for tol in (None, Tolerance.absolute(1e-9)):
+                        for edge in _scan_boundary(form, matrix, cells, tol):
+                            for x in (math.nextafter(edge, 0), edge, math.nextafter(edge, 1)):
+                                moved = _moved(matrix, cells, x)
+                                seen.add(self.assert_agree(form, moved, tol).passed)
+        assert seen == {True, False}
+
+    def test_bound_allows_four_mismatches_and_the_scan_rounding(self):
+        # Moving the four entries of one pair by δ puts 4δ in its residual:
+        # between a quarter and the whole of the slack the pair fails, so
+        # no entry may be cleared at more than a quarter of it.
+        g = random_monotone_game(5, 1, 10.0)
+        matrix = solve(g).matrix
+        grand = g.grand_coalition
+        e = reference.rounding_ulps(5) * g.values[grand]
+        for factor in (0.3, 0.5, 0.9):
+            moved = _moved(matrix, _aligned(grand, 3, 4), factor * e)
+            assert not self.assert_agree(g, moved).passed
+        # An exact gradient whose gains round: r_1(N) − r_1({0,1}) sits half
+        # way between two floats near 2^60, as r_2(N) − r_2({0,2}) does, so
+        # the pair (1, 2) passes on N. Lowering r_1({0,1}) by far less than
+        # its slack rounds the first gain up, and the pair fails by 128.
+        potential = {0: 0, 1: 64, 2: 0, 4: 0, 3: 256, 5: 512, 6: 0, 7: 2**60}
+        rows = [[0.0] * 8 for _ in range(3)]
+        for mask in range(1, 8):
+            for i in members(mask):
+                rows[i][mask] = float(potential[mask] - potential[mask ^ 1 << i])
+        g = additive_game([10**4] * 3).as_float()
+        gradient = RewardMatrix(3, tuple(map(tuple, rows)))
+        assert self.assert_agree(g, gradient).passed
+        lowered = _moved(gradient, [(1, 0b011, -1)], 2.0**-40)
+        assert 2.0**-40 < reference.rounding_ulps(3) * g.values[0b011] / 4
+        result = self.assert_agree(g, lowered)
+        assert result.witness == {
+            "coalition": 7,
+            "player_i": 1,
+            "player_j": 2,
+            "gain_i": 2.0**60 - 640,
+            "gain_j": 2.0**60 - 768,
+        }
+
+    def test_special_entries(self):
+        g = random_monotone_game(4, 3, 10.0 / 3)
+        matrix = solve(g).matrix
+        tiny = 5e-324
+        for x in (math.nan, math.inf, -math.inf, -0.0, 0.0, tiny, -tiny, 2.0**-1022, 1e308):
+            for i, mask in ((1, 0b0011), (3, 0b1111), (0, 0b1110)):
+                self.assert_agree(g, matrix.replace_entry(i, mask, x))
+        zero = Game(4, [0.0] * 16)
+        for x in (-0.0, tiny):
+            self.assert_agree(zero, solve(zero).matrix.replace_entry(2, 0b0110, x))
+        subnormal = Game(3, [k * tiny for k in (0, 1, 1, 2, 3, 3, 4, 6)])
+        self.assert_agree(subnormal, solve(subnormal).matrix)
+
+    @pytest.mark.parametrize("tol", _TOLERANCES)
+    def test_mixed_modes_and_tolerances(self, tol):
+        rng = random.Random(10)
+        for g in (*random_games([3, 4, 6], 1, seed0=4700), *list(_premise_games())[:6]):
+            matrix = solve(g).matrix
+            pairs = ((g, matrix.as_float()), (g.as_float(), matrix), (g.as_float(), matrix.as_float()))
+            for form, table in pairs:
+                for moved in _tampered(rng, form, table):
+                    self.assert_agree(form, moved, tol)

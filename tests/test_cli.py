@@ -348,6 +348,17 @@ class TestCheck:
         assert result.exit_code == 1
         assert result.stderr == "error: reward table has no player rows\n"
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_deeply_nested_json_exits_1(self, runner, c3_path, tmp_path, command):
+        path = tmp_path / "deep.json"
+        field = "values" if command == "solve" else "rewards"
+        path.write_text(f'{{"players": 3, "{field}": {"[" * 100_000}{"]" * 100_000}}}')
+        args = [command, str(path)] if command == "solve" else [command, str(c3_path), "--matrix", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr == "error: not valid JSON: nested too deeply\n"
+        assert "Traceback" not in result.output
+
     def test_csv_the_csv_module_rejects_exits_1(self, runner, c3_path, tmp_path):
         mpath = tmp_path / "huge.csv"
         mpath.write_text("player,coalition,reward\n1,," + "1" * 200_000 + "\n")

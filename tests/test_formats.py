@@ -289,6 +289,74 @@ class TestMatrixShapes:
         assert column(parsed.matrix, 0) == column(solved_doc.matrix, 0)
 
 
+_TABLE_JSON = (
+    '{"players": 2, "number_mode": "rational", '
+    '"rewards": {"": {"1": 1, "2": 1}, "1": {"1": 1, "2": 1}, "2": {"1": 1, "2": 1}, '
+    '"1,2": {"1": 2, "2": 1}}, '
+    '"efficient_player": {"1": "1", "2": "2", "1,2": "1"}}'
+)
+
+
+class TestJsonDecoding:
+    """JSON files decode without a Python call per object when the colons
+    prove that no key repeats; any other text takes the hooked decode,
+    with the same document and the same errors."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"players": 2,', '"players": 2, "players": 2,'),
+            ('"1": {"1": 1, "2": 1}', '"1": {"1": 1, "2": 1}, "1": {"1": 1, "2": 1}'),
+            ('"1,2": {"1": 2, "2": 1}', '"1,2": {"1": 2, "1": 2, "2": 1}'),
+            ('"efficient_player": {"1": "1",', '"efficient_player": {"1": "1", "1": "1",'),
+        ],
+        ids=["top-level field", "coalition", "player in a coalition", "efficient_player"],
+    )
+    def test_repeated_key_in_a_table(self, old, new):
+        assert parse_matrix(_TABLE_JSON).efficient_player == {1: 0, 2: 1, 3: 0}
+        key = "players" if old.startswith('"players"') else "1"
+        with pytest.raises(FileFormatError, match=f"^duplicate key '{key}'$"):
+            parse_matrix(_TABLE_JSON.replace(old, new, 1))
+
+    def test_repeated_efficient_player_field(self):
+        text = _TABLE_JSON[:-1] + ', "efficient_player": {}}'
+        with pytest.raises(FileFormatError, match="^duplicate key 'efficient_player'$"):
+            parse_matrix(text)
+
+    def test_labels_holding_colons_read_through_the_hooked_decode(self):
+        labels = ("a:b", "c", '"d": {')
+        game = random_monotone_game(3, 1)
+        matrix, efficient = solve(game)
+        gdoc = GameDocument(game, labels, "rational")
+        mdoc = MatrixDocument(matrix, labels, "rational", efficient)
+        for text, parse, doc in (
+            (serialize_game(gdoc), parse_game, gdoc),
+            (serialize_matrix(mdoc, "json"), parse_matrix, mdoc),
+        ):
+            assert text.count(":") > formats._members(json.loads(text))
+            assert parse(text) == doc
+
+    def test_written_files_decode_as_the_hooked_decode_does(self, example1):
+        game = random_monotone_game(5, 2, 10.0 / 3)
+        matrix, efficient = solve(game)
+        labels = default_labels(5)
+        for text in (
+            serialize_game(GameDocument(game, labels, "float")),
+            serialize_matrix(MatrixDocument(matrix, labels, "float", efficient), "json"),
+            serialize_game(GameDocument(example1, default_labels(3), "rational")),
+            '{"players": 1, "rewards": {"": {}, "1": {"1": 1}}, "efficient_player": {}}',
+        ):
+            hooked = json.loads(text, parse_float=formats._JsonDecimal, object_pairs_hook=dict)
+            assert text.count(":") == formats._members(hooked)
+            assert formats._json_loads(text) == hooked
+
+    @pytest.mark.parametrize("parse, field", [(parse_game, "values"), (parse_matrix, "rewards")])
+    def test_deep_nesting_is_a_file_format_error(self, parse, field):
+        deep = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(FileFormatError, match="^not valid JSON: nested too deeply$"):
+            parse(f'{{"players": 2, "{field}": {deep}}}')
+
+
 class TestMatrixParseErrors:
     def test_missing_cell_in_long_csv(self):
         text = "player,coalition,reward\na,,1\na,b,2\nb,,3\n"
