@@ -5,13 +5,16 @@ ranges over and returns a verdict plus, on failure, a witness: the
 concrete players, coalitions, and values that violate the condition.
 Witnesses are plain dicts so they can be re-evaluated or serialized as-is.
 
-R1-R5 pass over the table a run at a time. The coalitions that contain
-player i are a few stride or block slices of a row (``_runs`` in
+R1-R5 prove a passing table in whole-row or whole-run passes. R1 and R4
+read each row's least entry once per set of numbers (``_Numbers.minima``):
+every entry at or above 0, or at or above the player's solo value, clears
+the axiom at once. Otherwise, and for R2, R3 and R5, the coalitions that
+contain player i are a few stride or block slices of a row (``_runs`` in
 ``games.py``), and the same slices shifted down by 2^i hold them without
-i. C-level ``map``, ``count`` and ``compress`` compare whole slices of a
-reward row, the values and the potential. A cheap screen clears most
-entries, and the axiom's own comparison runs on the rest (see
-``_Numbers.least_failure``), so verdicts and witnesses are those of an
+i. One C-level ``all`` per slice clears it; only a slice that fails is
+walked entry by entry (``_least_failure``), where a cheap screen clears
+most entries and the axiom's own comparison runs on the rest (see
+``_Numbers.least_failure``). So verdicts and witnesses are those of an
 entry-by-entry scan in every number mode.
 
 F5 on an exact table without slack reads the table's own potential:
@@ -19,10 +22,13 @@ F5 on an exact table without slack reads the table's own potential:
 ``r_i(C) = Π(C) − Π(C∖i)`` everywhere (the balanced contributions of
 Myerson, IJGT 1980; the potential of Hart and Mas-Colell, Econometrica
 1989), one comparison per entry instead of one per member pair. A float
-table reads its entries as dyadic ints and screens each coalition with a
-proven bound on the same potential (``_unscreened``); the pair scan runs
-only where the bound does not clear it. Other tables under a slack keep
-the pair scan.
+table of 8 players or more reads its entries as dyadic ints and screens
+each coalition with a proven bound on the same potential
+(``_unscreened``); the pair scan runs only where the bound does not clear
+it. A smaller float table takes every pair's residual at once through the
+kept triple gathers (``solver._cached_triples``), with the scan's own
+float operations, and scans only the least coalition where one fails.
+Other tables under a slack keep the pair scan.
 
 Verdicts distinguish a pass whose premise never applied (PASS_VACUOUS)
 from one that was actually exercised. Witnesses are the first failure in
@@ -45,13 +51,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, permutations, repeat
+from itertools import chain, combinations, compress, permutations, repeat
 from operator import add, and_, eq, le, not_, sub, truediv
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParamsError, DimensionMismatchError, OutOfRangeError
 from .games import Game, Scalar, _least_failure, _Run, _runs, members, submasks
-from .solver import RewardMatrix, _min_plus, _min_plus_potential
+from .solver import (
+    _CACHED_PLAYERS,
+    RewardMatrix,
+    _cached_triples,
+    _min_plus,
+    _min_plus_potential,
+)
 
 
 @dataclass(frozen=True)
@@ -200,7 +212,7 @@ class _Numbers(_Fields):
         """A compared number as the entry it came from (for witnesses)."""
         return x if self.denominator is None else Fraction(x, self.denominator)
 
-    def least_failure(self, screens, holds) -> tuple[int, int] | None:
+    def least_failure(self, screens, holds, floors=None) -> tuple[int, int] | None:
         """``_least_failure`` of an axiom's screens and its own comparison.
 
         A screen compares with slack 0 and without the subtraction, such as
@@ -210,8 +222,25 @@ class _Numbers(_Fields):
         comparison. When every slack is 0 the screen's exact comparison is
         the verdict, and ``holds`` does not run: between a float and a
         ``Fraction`` it would subtract in floats.
+
+        ``floors``, one per player, serve an axiom whose every screen reads
+        ``floor <= r`` on some of the player's entries: when each row's
+        least entry (``minima``) is at or above its floor, every screen
+        holds throughout, and none is built.
         """
+        if floors is not None and all(map(le, floors, self.minima)):
+            return None
         return _least_failure(screens, None if self.no_slack else holds)
+
+    @cached_property
+    def minima(self) -> list:
+        """Each reward row's least entry. Over floats, what ``min`` returns
+        depends on where a NaN sits, so a float row whose sum is NaN, and
+        which may hold one, reads as NaN, which no floor is at or below."""
+        return [
+            math.nan if type(row[0]) is float and math.isnan(sum(row)) else min(row)
+            for row in self.rows
+        ]
 
     @cached_property
     def dominance(self) -> set[tuple[int, int]]:
@@ -279,11 +308,13 @@ _SOLO_VALUE = ("solo_value", lambda mask, i: 1 << i)
 
 
 def _nonnegativity(nums: _Numbers) -> CheckResult:
-    """R1: every member's reward is nonnegative."""
+    """R1: every member's reward is nonnegative; a table whose every entry
+    is, non-members' too, passes at once."""
     rows, eps = nums.rows, nums.eps
     bad = nums.least_failure(
-        ((run.i, run.masks, map(le, repeat(0), rows[run.i][run.with_i])) for run in nums.runs),
+        ((run.i, run.masks, le, repeat(0), rows[run.i][run.with_i]) for run in nums.runs),
         lambda i, mask: 0 - rows[i][mask] <= eps[mask],
+        floors=repeat(0),
     )
     return _entry_verdict("R1", nums, bad)
 
@@ -293,7 +324,7 @@ def _feasibility(nums: _Numbers) -> CheckResult:
     rows, values, eps = nums.rows, nums.values, nums.eps
     bad = nums.least_failure(
         (
-            (run.i, run.masks, map(le, rows[run.i][run.with_i], values[run.with_i]))
+            (run.i, run.masks, le, rows[run.i][run.with_i], values[run.with_i])
             for run in nums.runs
         ),
         lambda i, mask: rows[i][mask] - values[mask] <= eps[mask],
@@ -332,27 +363,31 @@ def _weak_efficiency(nums: _Numbers) -> CheckResult:
     return CheckResult("R3", Verdict.PASS)
 
 
-def _solo_screen(compare, v_i, others: Sequence) -> Iterable[bool]:
+def _solo_screen(compare, v_i, others: Sequence) -> tuple:
     """The screen for a player's non-member entries, which all hold the
-    solo value ``v_i`` in a balanced table: nothing is left to compare when
-    they all equal it, else ``compare(v_i, r)`` entry by entry."""
+    solo value ``v_i`` in a balanced table, as ``_least_failure``'s
+    (compare, left, right): nothing is left to compare when they all equal
+    it, else ``compare(v_i, r)`` entry by entry."""
     if others.count(v_i) == len(others):
-        return ()
-    return map(compare, repeat(v_i), others)
+        return compare, (), ()
+    return compare, repeat(v_i), others
 
 
 def _individual_rationality(nums: _Numbers) -> CheckResult:
-    """R4: nobody, member or not, is ever rewarded below their solo value."""
+    """R4: nobody, member or not, is ever rewarded below their solo value;
+    a table whose every row's least entry is at least it passes at once."""
     rows, values, eps = nums.rows, nums.values, nums.eps
 
     def screens():
         for run in nums.runs:
             row, v_i = rows[run.i], values[1 << run.i]
-            yield run.i, run.masks, map(le, repeat(v_i), row[run.with_i])
-            yield run.i, run.masks_without, _solo_screen(le, v_i, row[run.without_i])
+            yield run.i, run.masks, le, repeat(v_i), row[run.with_i]
+            yield run.i, run.masks_without, *_solo_screen(le, v_i, row[run.without_i])
 
     bad = nums.least_failure(
-        screens(), lambda i, mask: values[1 << i] - rows[i][mask] <= eps[mask | 1 << i]
+        screens(),
+        lambda i, mask: values[1 << i] - rows[i][mask] <= eps[mask | 1 << i],
+        floors=(values[1 << i] for i in range(len(rows))),
     )
     return _entry_verdict("R4", nums, bad, _SOLO_VALUE)
 
@@ -365,7 +400,7 @@ def _nonparticipation(nums: _Numbers) -> CheckResult:
             (
                 run.i,
                 run.masks_without,
-                _solo_screen(eq, values[1 << run.i], rows[run.i][run.without_i]),
+                *_solo_screen(eq, values[1 << run.i], rows[run.i][run.without_i]),
             )
             for run in nums.runs
         ),
@@ -519,11 +554,14 @@ def _potential(rows: Sequence[Sequence], read=None) -> list:
 
 
 # From this many players on, F5 screens a float table's coalitions
-# (``_unscreened``) before the pair scan; below it the scan alone is
+# (``_unscreened``) before the pair scan; below it the scan alone was
 # cheaper. Median of 7, solver tables of ``random_monotone_game(n, 5, s)``,
 # scan against screen and scan, in ms: at n=7 0.44 against 0.54 (s=10/3)
 # and 0.42 against 0.34 (s=10); at n=8 1.03 against 0.98 and 1.01 against
-# 0.63; at n=14 about 2× and 3× faster (2-core VM, Python 3.11.7).
+# 0.63; at n=14 about 2× and 3× faster (2-core VM, Python 3.11.7). Below it
+# the kept triple gathers are cheaper than the scan: 34 → 19 µs at n=4 and
+# 233 → 144 µs at n=7, median of 41 alternating calls on the solver tables
+# of perfbench's ``random_values(n, 12345 + n, 10**4 / 3)`` (same VM).
 _SCREENED_PLAYERS = 8
 
 
@@ -621,29 +659,46 @@ def _balanced_reciprocity(nums: _Numbers) -> CheckResult:
     them. Float sums along Π would round otherwise than the pair
     differences, which is why Π is not built in floats.
 
+    A smaller float table, up to the ``_CACHED_PLAYERS`` whose triple
+    gathers are kept, takes every pair's residual at once
+    (``_Triples.gaps``), with the scan's float operations in the scan's
+    order, so each triple's ``residual <= eps[C]`` is the scan's verdict
+    on it. Only the least coalition that holds a failing triple takes the
+    scan, which reports the pair a full scan would.
+
     Every other table, exact entries under a slack say, takes the pair
     scan on every coalition: a residual within slack on each square does
     not bound Π's mismatch, which adds residuals along the chain of lowest
     members.
     """
     rows, eps = nums.rows, nums.eps
-    if len(rows) < 2:
+    n = len(rows)
+    if n < 2:
         return CheckResult("F5", Verdict.PASS_VACUOUS)
     scan: Iterable[int] = range(len(eps))
-    if type(rows[0][0]) is float and len(rows) >= _SCREENED_PLAYERS:
-        scan = _unscreened(nums)
+    if type(rows[0][0]) is float:
+        if n >= _SCREENED_PLAYERS:
+            scan = _unscreened(nums)
+        elif n <= _CACHED_PLAYERS:
+            triples = _cached_triples(n)
+            gaps = triples.gaps(list(chain.from_iterable(rows)))
+            within = map(le, gaps, triples.at_mask(eps))
+            least = min(compress(triples.masks, map(not_, within)), default=None)
+            scan = () if least is None else (least,)
     elif nums.exact:
         p = _potential(rows)
         bad = _least_failure(
             (
                 run.i,
                 run.masks,
-                map(eq, rows[run.i][run.with_i], map(sub, p[run.with_i], p[run.without_i])),
+                eq,
+                rows[run.i][run.with_i],
+                tuple(map(sub, p[run.with_i], p[run.without_i])),
             )
             for run in nums.runs
         )
         scan = () if bad is None else (bad[0],)
-    bits = [1 << i for i in range(len(rows))]
+    bits = [1 << i for i in range(n)]
     for mask in scan:
         e = eps[mask]
         mem = members(mask)

@@ -50,7 +50,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, groupby, islice, repeat
+from itertools import chain, compress, count, groupby, islice, repeat
 from operator import floordiv, itemgetter, mul, not_, or_
 
 from .errors import FileFormatError, NotMonotoneError
@@ -248,8 +248,12 @@ def _read_json_number(raw, mode: str) -> tuple[int, int] | float:
 
     A string is read as its stripped text. The digit limit binds only
     where an exact int is built: in float mode a string whose exponent
-    passes it reads as the JSON number of that text does.
+    passes it reads as the JSON number of that text does. A finite float
+    comes from a float-mode document decoded without the decimal hook
+    (``_floats_as_read``), already read as its text.
     """
+    if mode == FLOAT and type(raw) is float and math.isfinite(raw):
+        return raw
     if type(raw) is int:  # not a bool
         p, q = raw, 1
     elif isinstance(raw, str):
@@ -267,9 +271,15 @@ def _read_json_number(raw, mode: str) -> tuple[int, int] | float:
         raise ValueError from None
 
 
+# The field that announces a float-mode document, read from the first
+# "number_mode" key on: only a guess at which decode to try first
+_FLOAT_MODE = re.compile(r'"number_mode"\s*:\s*"float"')
+
+
 def _json_loads(text: str):
     """A JSON document, its decimals kept as ``_JsonDecimal`` text and any
-    repeated key rejected.
+    repeated key rejected; or, for a float-mode document whose floats
+    all read as their text, with its decimals as floats.
 
     A colon in JSON text either ends an object member's key or sits inside
     a string. So when the text holds as many colons as the plain decode
@@ -278,7 +288,23 @@ def _json_loads(text: str):
     deeper down is empty: that decode, with no Python call per object, is
     the document. Any other text is decoded again with a hook that finds
     the repeat, and it raises any error the plain decode met.
+
+    A text that looks float-mode is first decoded with ``float`` itself,
+    without a Python call per decimal, and that document is kept when the
+    colons prove it and ``_floats_as_read`` clears its floats. Any other
+    text takes the decodes above, so the hook is skipped only where the
+    document has no float, or where every reader takes each float as the
+    hook's text would read.
     """
+    start = text.find('"number_mode"')
+    if start >= 0 and _FLOAT_MODE.match(text, start):
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if text.count(":") == _members(doc) and _floats_as_read(doc):
+                return doc
     try:
         doc = json.loads(text, parse_float=_JsonDecimal)
     except (ValueError, RecursionError):
@@ -307,6 +333,56 @@ def _json_loads(text: str):
         raise FileFormatError(f"bad number: {str(exc).partition(';')[0]}") from None
     except RecursionError:
         raise FileFormatError("not valid JSON: nested too deeply") from None
+
+
+def _holds_float(value) -> bool:
+    """Whether a decoded JSON value is a float or holds one."""
+    if type(value) is dict:
+        value = list(value.values())
+    elif type(value) is not list:
+        return type(value) is float
+    types = set(map(type, value))
+    return float in types or bool(types & {list, dict}) and any(map(_holds_float, value))
+
+
+def _floats_as_read(doc) -> bool:
+    """Whether a document decoded with ``float`` reads as the one decoded
+    with ``_JsonDecimal`` does: its number mode is float, and every float
+    is a number under "values" or a reward under "rewards", finite and not
+    -0.0, so that it is the double ``_decimal_float`` reads from its text.
+
+    "-0.0" reads as 0.0 and "-1e-400" as -0.0, but both decode as -0.0;
+    "1e400" decodes as inf, where its text is a bad number. A float
+    anywhere else, a label say, would change an error text, since the text
+    1.50 prints as 1.5, and so would one nested inside a number's place.
+
+    One C-level ``sum`` of the numbers is finite only when none is NaN or
+    infinite; a string or a container among them, or a sum past the float
+    range, makes it fail too, and leaves the document to the hook.
+    """
+    if type(doc) is not dict or doc.get("number_mode") != FLOAT:
+        return False
+    places = []
+    for field, value in doc.items():
+        if field == "values" and type(value) is dict:
+            places.append(value.values())
+        elif field == "rewards" and type(value) is dict:
+            per_player = list(value.values())
+            if set(map(type, per_player)) - {dict}:
+                return False
+            places.extend(map(dict.values, per_player))
+        elif _holds_float(value):
+            return False
+    numbers = list(chain.from_iterable(places))
+    try:
+        if not math.isfinite(sum(numbers)):
+            return False
+    except (TypeError, OverflowError):
+        return False
+    if 0.0 not in numbers:
+        return True
+    zeros = compress(numbers, map(not_, numbers))
+    return min(map(math.copysign, repeat(1.0), zeros)) > 0
 
 
 def _members(doc) -> int:
@@ -377,8 +453,8 @@ def _read_stored(labels: tuple[str, ...], mode: str, values: dict) -> Game | Non
     the least common denominator ``Game`` would find. A D past the
     denominator cap goes key by key, where ``Game`` decides. In float mode
     every token must be a JSON number that ``float`` reads as a finite
-    double; zeros are read again by ``_decimal_float`` for its rule on
-    signed zeros.
+    double, as text or, from ``_floats_as_read``, as a float already; zeros
+    are read again by ``_decimal_float`` for its rule on signed zeros.
     """
     keys = _coalition_keys(labels)
     if len(values) != len(keys) - ("" not in values):
@@ -389,7 +465,7 @@ def _read_stored(labels: tuple[str, ...], mode: str, values: dict) -> Game | Non
     types = set(map(type, raw))  # NoneType for a key not in canonical form
     n = len(labels)
     if mode == FLOAT:
-        if not types <= {_JsonDecimal, int}:
+        if not types <= {_JsonDecimal, int, float}:
             return None
         try:
             floats = list(map(float, raw))

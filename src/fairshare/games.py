@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, count, repeat
-from operator import attrgetter, le, lt, not_
+from operator import attrgetter, eq, le, lt, not_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -174,17 +174,25 @@ def _runs(n_players: int) -> tuple[_Run, ...]:
 def _least_failure(screens, holds=None) -> tuple[int, int] | None:
     """The least (mask, player) where a player's condition fails, or None.
 
-    ``screens`` yields (i, masks, cleared), one or more runs per player.
-    ``cleared`` says mask by mask whether a screen, one C-level comparison
-    per entry, has shown that the condition holds there. ``holds(i, mask)``
-    is the condition itself. It runs only on the masks the screen left,
-    ascending, up to the run's first failure; without ``holds`` the screen
-    is the whole condition. The least failure over all runs is the one a
-    scan in ascending mask and then player order meets first.
+    ``screens`` yields (i, masks, compare, left, right), one or more runs
+    per player. ``compare(l, r)`` over the paired items of ``left`` and
+    ``right``, both iterable twice, says mask by mask whether a screen, one
+    C-level comparison per entry, has shown that the condition holds
+    there. One ``all`` clears a run whose screen holds throughout, or for
+    ``eq`` one ``left == right``, which is cheaper but takes an item for
+    equal to itself, as ``count`` does: an ``eq`` screen must not pair a
+    NaN with itself. Only a run that is not cleared is walked entry by
+    entry. ``holds(i, mask)`` is the condition itself. It runs only on the
+    masks the screen left, ascending, up to the run's first failure;
+    without ``holds`` the screen is the whole condition. The least failure
+    over all runs is the one a scan in ascending mask and then player
+    order meets first.
     """
     found = []
-    for i, masks, cleared in screens:
-        for mask in compress(masks, map(not_, cleared)):
+    for i, masks, compare, left, right in screens:
+        if left == right if compare is eq else all(map(compare, left, right)):
+            continue
+        for mask in compress(masks, map(not_, map(compare, left, right))):
             if holds is None or not holds(i, mask):
                 found.append((mask, i))
                 break
@@ -198,18 +206,13 @@ def first_monotonicity_violation(values: Sequence[Scalar]) -> tuple[int, int] | 
     single-player removals suffices: any violating subset chain contains a
     violating single step.
     """
-    failing = [
-        run
+    bad = _least_failure(
+        (run.i, run.masks, le, values[run.without_i], values[run.with_i])
         for run in _runs(len(values).bit_length() - 1)
-        if not all(map(le, values[run.without_i], values[run.with_i]))
-    ]
-    if not failing:
-        return None
-    # only a failing run's entries are screened one by one, for the witness
-    mask, i = _least_failure(
-        (run.i, run.masks, map(le, values[run.without_i], values[run.with_i]))
-        for run in failing
     )
+    if bad is None:
+        return None
+    mask, i = bad
     return mask ^ 1 << i, mask
 
 

@@ -1166,8 +1166,11 @@ def _parse_number(raw, mode: str) -> Scalar:
     """One JSON number; raises ValueError when it is not a finite number.
 
     Float mode gives the double nearest the exact value, rational mode the
-    exact value itself.
+    exact value itself. A finite float comes from a float-mode file that
+    ``_json_loads`` decoded without its decimal hook, as that double.
     """
+    if mode == FLOAT and type(raw) is float and math.isfinite(raw):
+        return raw
     if type(raw) is _JsonDecimal:
         if mode != FLOAT:
             return _fraction(raw)

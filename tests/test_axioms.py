@@ -2,7 +2,8 @@ import math
 import random
 import struct
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, compress, cycle, permutations
+from operator import not_
 
 import pytest
 
@@ -859,8 +860,8 @@ def screened(monkeypatch):
     monkeypatch.setattr(axioms, "_SCREENED_PLAYERS", 2)
 
 
-def _assert_same_f5(result, expected):
-    # repr, so that NaN gains compare equal
+def _assert_same_repr(result, expected):
+    # repr, so that NaN witness values compare equal
     assert repr(result) == repr(expected)
     assert _witness_types(result) == _witness_types(expected)
 
@@ -921,8 +922,8 @@ class TestFloatBalancedReciprocityScreen:
     @staticmethod
     def assert_agree(game, matrix, tol=None):
         expected = reference.check_balanced_reciprocity(game, matrix, tol)
-        _assert_same_f5(check_axiom("F5", game, matrix, tol), expected)
-        _assert_same_f5(check_all(game, matrix, tol)["F5"], expected)
+        _assert_same_repr(check_axiom("F5", game, matrix, tol), expected)
+        _assert_same_repr(check_all(game, matrix, tol)["F5"], expected)
         return expected
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -953,7 +954,7 @@ class TestFloatBalancedReciprocityScreen:
                 nums = _numbers(g, table, None)
                 screened = axioms._balanced_reciprocity(nums)
                 monkeypatch.setattr(axioms, "_SCREENED_PLAYERS", n + 1)
-                _assert_same_f5(screened, axioms._balanced_reciprocity(nums))
+                _assert_same_repr(screened, axioms._balanced_reciprocity(nums))
                 monkeypatch.setattr(axioms, "_SCREENED_PLAYERS", 2)
                 assert screened.passed is (table is matrix)
             assert not axioms._unscreened(_numbers(g, matrix, None))
@@ -1037,3 +1038,123 @@ class TestFloatBalancedReciprocityScreen:
             for form, table in pairs:
                 for moved in _tampered(rng, form, table):
                     self.assert_agree(form, moved, tol)
+
+
+def _walk_every_run(screens, holds=None):
+    """``_least_failure`` without its whole-run pass: every run is walked
+    entry by entry."""
+    found = []
+    for i, masks, compare, left, right in screens:
+        for mask in compress(masks, map(not_, map(compare, left, right))):
+            if holds is None or not holds(i, mask):
+                found.append((mask, i))
+                break
+    return min(found, default=None)
+
+
+def _entry_path(game, matrix, tol):
+    """``check_all`` with no row minima, no whole-run pass and no triple
+    gathers: R1 and R4 take their screens, every run is walked entry by
+    entry, and float F5 below ``_SCREENED_PLAYERS`` takes the full scan."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(axioms._Numbers, "minima", property(lambda nums: [math.nan] * len(nums.rows)))
+        patch.setattr(axioms, "_least_failure", _walk_every_run)
+        patch.setattr(axioms, "_CACHED_PLAYERS", 1)
+        return check_all(game, matrix, tol)
+
+
+def _past_the_cap(matrix):
+    """``matrix`` with entries lowered by 1/p for distinct primes p until
+    their common denominator passes the cap, so it keeps Fractions."""
+    n = matrix.n_players
+    cells = cycle([(i, mask) for mask in range(1, 1 << n) for i in members(mask)])
+    bits, primes = 0, _primes()
+    while bits <= _MAX_DENOMINATOR_BITS:
+        p = next(primes)
+        i, mask = next(cells)
+        matrix = matrix.replace_entry(i, mask, matrix.rewards[i][mask] - Fraction(1, p))
+        bits += p.bit_length() - 1
+    return matrix
+
+
+def _breakers(rng, game, matrix):
+    """The table, then copies of it with one entry moved so that R1, R2,
+    R3, R4, R5 and F5 in turn fail, up to 9 players with one special float
+    entry at a member and at a non-member cell, and, from 4 players, with
+    two F5 failures where the least coalition is not the first in size
+    order."""
+    yield matrix
+    n, v, rows = game.n_players, game.values, matrix.rewards
+    grand = game.grand_coalition
+    big = v[grand] / 3 + 1
+
+    def member():
+        mask = rng.randrange(1, grand + 1)
+        return rng.choice(members(mask)), mask
+
+    def outsider():
+        i = rng.randrange(n)
+        return i, rng.randrange(grand + 1) & ~(1 << i)
+
+    (i, mask), (k, out) = member(), outsider()
+    yield matrix.replace_entry(i, mask, -big)  # R1
+    yield matrix.replace_entry(i, mask, v[mask] + big)  # R2
+    yield matrix.replace_entry(i, 1 << i, v[1 << i] - big)  # R3: {i} pays nobody v({i})
+    yield matrix.replace_entry(i, mask, v[1 << i] - big)  # R4
+    yield matrix.replace_entry(k, out, v[1 << k] + big)  # R5
+    c = rng.randrange(3, grand + 1) if n > 1 else 1
+    j = rng.choice(members(c))
+    yield matrix.replace_entry(j, c, rows[j][c] + big / 7)  # F5
+    # past 9 players a NaN sends float F5 to the full scan, 0.2 s a table
+    for x in (math.nan, math.inf, -math.inf, -0.0, 5e-324) if n <= 9 else ():
+        for i, mask in (member(), outsider()):
+            yield matrix.replace_entry(i, mask, x)
+    if n >= 4:
+        low = 3 << n - 2  # {n−2, n−1}, above the 3-member {0, 1, 2}
+        yield _moved(matrix, [(n - 1, low, 1), (0, 0b111, 1)], big / 7)
+
+
+def _whole_pass_cases(n):
+    """(game, table) pairs: solver tables exact, past the denominator cap
+    and float at 10 and 10^k/3, and up to 9 players each mode's game with
+    the other's table."""
+    exact = random_monotone_game(n, 20 + n)
+    matrix = solve(exact).matrix
+    yield exact, matrix
+    if n >= 4:
+        yield exact, _past_the_cap(matrix)
+    for scale in (10.0, *(10.0**k / 3 for k in (-6, 0, 6, 12)))[: 5 if n <= 7 else 2]:
+        g = random_monotone_game(n, 20 + n, scale)
+        yield g, solve(g).matrix
+    if n <= 9:
+        yield exact, matrix.as_float()
+        yield exact.as_float(), matrix
+
+
+class TestWholePassesAgreeWithTheEntryPath:
+    """The row minima of R1 and R4, the whole-run passes of R2 and exact
+    F5, and float F5's triple gathers give the verdicts, witnesses and
+    witness types of the entry-by-entry path (``_entry_path``) and of the
+    per-comparison loops in tests/reference.py."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 12])
+    def test_solver_and_tampered_tables(self, n):
+        # the reference loops take 0.4 s a table at n=12: there the entry
+        # path alone is compared, and from 8 players one tolerance a table
+        rng = random.Random(n)
+        references = {**TABLE_CHECKS, **PREMISE_CHECKS} if n <= 9 else {}
+        failed = set()
+        for game, table in _whole_pass_cases(n):
+            rounding = default_tolerance(game.as_float())
+            for moved in _breakers(rng, game, table):
+                tolerances = (None, Tolerance.exact(), Tolerance.absolute(1e-9), rounding)
+                for tol in tolerances if n <= 7 else rng.sample(tolerances, 1):
+                    report = check_all(game, moved, tol)
+                    forced = _entry_path(game, moved, tol)
+                    for result in report:
+                        _assert_same_repr(result, forced[result.axiom])
+                    for code, check in references.items():
+                        _assert_same_repr(report[code], check(game, moved, tol))
+                    failed.update(r.axiom for r in report.failures)
+        assert {"R1", "R2", "R3", "R4", "R5"} <= failed
+        assert ("F5" in failed) is (n > 1)

@@ -23,9 +23,8 @@ from fairshare import (
     shapley,
     solve,
 )
-from fairshare import baselines
-from fairshare.baselines import _cached_triples, _triple_blocks
-from fairshare.solver import _levels
+from fairshare import solver
+from fairshare.solver import _cached_triples, _levels, _triple_blocks
 from reference import (
     WIDE_DENOMINATOR_GAME,
     EagerComparison,
@@ -378,7 +377,7 @@ def test_triples_built_per_call_match_the_kept_ones(monkeypatch):
     kept = [
         (pair_residuals(scaled_rho_shapley(g, 1).matrix), compare_mechanisms(g, 1)) for g in games
     ]
-    monkeypatch.setattr(baselines, "_CACHED_PLAYERS", 1)
+    monkeypatch.setattr(solver, "_CACHED_PLAYERS", 1)
     for game, (residuals, report) in zip(games, kept):
         assert pair_residuals(scaled_rho_shapley(game, 1).matrix) == residuals
         assert compare_mechanisms(game, 1) == report

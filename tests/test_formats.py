@@ -297,6 +297,26 @@ _TABLE_JSON = (
 )
 
 
+def _decimals_as_floats(doc):
+    """A hooked decode with every ``_JsonDecimal`` read as its float."""
+    if type(doc) is formats._JsonDecimal:
+        return float(doc)
+    if type(doc) is dict:
+        return {k: _decimals_as_floats(v) for k, v in doc.items()}
+    if type(doc) is list:
+        return list(map(_decimals_as_floats, doc))
+    return doc
+
+
+def _parse_outcome(parse, text):
+    """What parsing a text gives: the document's repr, which shows -0.0 and
+    every number's type, or the error's class and text."""
+    try:
+        return repr(parse(text))
+    except Exception as exc:  # noqa: BLE001 - the class is compared too
+        return type(exc), str(exc)
+
+
 class TestJsonDecoding:
     """JSON files decode without a Python call per object when the colons
     prove that no key repeats; any other text takes the hooked decode,
@@ -337,6 +357,7 @@ class TestJsonDecoding:
             assert parse(text) == doc
 
     def test_written_files_decode_as_the_hooked_decode_does(self, example1):
+        # a float-mode file keeps its decimals as the floats they read as
         game = random_monotone_game(5, 2, 10.0 / 3)
         matrix, efficient = solve(game)
         labels = default_labels(5)
@@ -348,7 +369,46 @@ class TestJsonDecoding:
         ):
             hooked = json.loads(text, parse_float=formats._JsonDecimal, object_pairs_hook=dict)
             assert text.count(":") == formats._members(hooked)
+            if hooked.get("number_mode") == "float":
+                hooked = _decimals_as_floats(hooked)
             assert formats._json_loads(text) == hooked
+
+    @pytest.mark.parametrize(
+        "number",
+        ["-0.0", "-1e-400", "1e400", "1e-400", "0.1", '"1.5"', "2.50", "NaN", "[2.50]"],
+    )
+    @pytest.mark.parametrize("mode", ["float", "rational", None])
+    def test_float_edge_cases_read_as_the_hooked_decode_does(self, number, mode, monkeypatch):
+        field = "" if mode is None else f'"number_mode": "{mode}", '
+        texts = [
+            (parse_game, f'{{"players": 2, {field}"values": {{"1": {number}, "2": 2.5, "1,2": 5}}}}'),
+            (parse_game, f'{{"players": [{number}, "b"], {field}"values": {{}}}}'),
+            (
+                parse_matrix,
+                f'{{"players": 1, {field}"rewards": {{"": {{"1": 0.0}}, "1": {{"1": {number}}}}}}}',
+            ),
+            (
+                parse_matrix,
+                f'{{"players": 1, {field}"rewards": {{"1": {{"1": 1.5}}}}, '
+                f'"efficient_player": {{"1": {number}}}}}',
+            ),
+        ]
+        for parse, text in texts:
+            plain = _parse_outcome(parse, text)
+            with monkeypatch.context() as patch:
+                patch.setattr(formats, "_floats_as_read", lambda doc: False)
+                assert _parse_outcome(parse, text) == plain, text
+
+    def test_a_float_game_file_skips_the_hook(self, monkeypatch):
+        game = random_monotone_game(6, 3, 10.0 / 3)
+        doc = GameDocument(game, default_labels(6), "float")
+        text = serialize_game(doc)
+        values = formats._json_loads(text)["values"].values()
+        assert {type(x) for x in values} == {float}
+        assert parse_game(text) == doc
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, "_floats_as_read", lambda doc: False)
+            assert repr(parse_game(text)) == repr(doc)
 
     @pytest.mark.parametrize("parse, field", [(parse_game, "values"), (parse_matrix, "rewards")])
     def test_deep_nesting_is_a_file_format_error(self, parse, field):
